@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import forms, series
-from .numerics import FLOAT64
+from .numerics import FLOAT64, MPBackend, as_mask
 from .quadrature import gauss_jacobi_m12, gauss_legendre, uniform_rule
 
 __all__ = ["Region", "PrecisionParams", "PulseSolution", "PulseEvaluator",
@@ -40,7 +40,20 @@ __all__ = ["Region", "PrecisionParams", "PulseSolution", "PulseEvaluator",
 # smallest eps honoured in double precision; coarser requests are clamped
 EPS_FLOOR = 2e-16
 
-_CHUNK = 4096
+# decimal digits an mpmath backend must carry beyond -log10(eps).  Rounding
+# in the kernels costs up to about 10^(2.4 - dps): measured against 30 extra
+# digits at eps = 1e-20, 1e-30 and 1e-40, no margin left up to 2.5 eps of
+# rounding error and a 4-digit margin at most 6e-4 eps.
+_MP_DIGIT_MARGIN = 4
+
+# elements in one (rows, nodes) kernel temporary.  At 2**13 doubles (64 KiB)
+# each temporary stays below glibc malloc's 128 KiB mmap threshold, so it
+# is reused from the heap instead of being mapped and faulted in afresh,
+# and the dozen a kernel keeps alive fit a per-core L2 cache.  From 2**14
+# on, a 65k-point mesh call took 36k-49k minor page faults instead of 460
+# and ran 1.4-1.7x slower.  Results do not depend on it: every reduction
+# is per row.
+_BLOCK_ELEMS = 2 ** 13
 
 
 class Region(enum.IntEnum):
@@ -109,6 +122,12 @@ def make_params(eps, backend=FLOAT64) -> PrecisionParams:
     clamped = eps_f > EPS_FLOOR
     if clamped:
         eps_f = EPS_FLOOR
+    if isinstance(backend, MPBackend) and \
+            backend.dps < _MP_DIGIT_MARGIN - math.log10(eps_f):
+        need = math.ceil(_MP_DIGIT_MARGIN - math.log10(eps_f))
+        raise ValueError(
+            f"eps={eps_f:g} needs an mpmath backend with at least {need} "
+            f"digits, got {backend.dps}")
     bk = backend
     with bk.workprec():
         e = bk.scalar(eps_f)
@@ -131,19 +150,16 @@ def make_params(eps, backend=FLOAT64) -> PrecisionParams:
             thr_series=bk.scalar(1.31) * H)
 
 
-def _mask(x):
-    return np.asarray(x, dtype=bool)
-
-
-_HANDLERS = {
-    Region.ZERO: forms.zero_eval,
-    Region.SMALL_T: forms.small_t_eval,
-    Region.FORM1_GL: forms.form1_eval,
-    Region.SERIES: series.series_eval,
-    Region.FORM2_UNIFORM: forms.form2_uniform_eval,
-    Region.FORM2_JACOBI: forms.form2_jacobi_eval,
-    Region.FORM3_GL: forms.form3_eval,
-}
+# (region, kernel, PrecisionParams field giving its node width or None for
+# one element per row).  Zero has no kernel: the outputs start at zero.
+_KERNELS = (
+    (Region.SMALL_T, forms.small_t_eval, None),
+    (Region.FORM1_GL, forms.form1_eval, "M3"),
+    (Region.SERIES, series.series_eval, None),
+    (Region.FORM2_UNIFORM, forms.form2_uniform_eval, "M2"),
+    (Region.FORM2_JACOBI, forms.form2_jacobi_eval, "M3"),
+    (Region.FORM3_GL, forms.form3_eval, "M3"),
+)
 
 
 class PulseEvaluator:
@@ -227,19 +243,19 @@ class PulseEvaluator:
         bk = self.backend
         if not (bk.isfinite_all(t) and bk.isfinite_all(r)):
             raise ValueError("t and r must be finite")
-        if not (_mask(t >= 0).all() and _mask(r >= 0).all()):
+        if not (as_mask(t >= 0).all() and as_mask(r >= 0).all()):
             raise ValueError("t and r must be nonnegative")
 
     def classify_codes(self, t, r) -> np.ndarray:
         """Region codes (int8) for validated backend arrays."""
         P = self.params
-        deep = _mask(t - r > P.thr_diff)
-        axis1 = _mask(r <= P.R1)
-        late = _mask(t >= P.thr_series)
-        small = _mask(t < P.eps)
-        ahead = _mask(t < r - P.thr_sum)
-        near = _mask(t + r < P.thr_sum)
-        axis2 = _mask(r <= P.R2)
+        deep = as_mask(t - r > P.thr_diff)
+        axis1 = as_mask(r <= P.R1)
+        late = as_mask(t >= P.thr_series)
+        small = as_mask(t < P.eps)
+        ahead = as_mask(t < r - P.thr_sum)
+        near = as_mask(t + r < P.thr_sum)
+        axis2 = as_mask(r <= P.R2)
         conds = [
             deep & ~axis1,
             deep & axis1 & late,
@@ -280,18 +296,22 @@ class PulseEvaluator:
         shape = t.shape
         tf = t.ravel()
         rf = r.ravel()
+        P = self.params
         with bk.workprec():
             codes = self.classify_codes(tf, rf)
+            counts = np.bincount(codes, minlength=len(Region))
             p = bk.zeros(tf.shape)
             u = bk.zeros(tf.shape)
             with np.errstate(over="ignore", under="ignore",
                              invalid="ignore", divide="ignore"):
-                for reg, fn in _HANDLERS.items():
-                    idx = np.nonzero(codes == int(reg))[0]
-                    if idx.size == 0:
+                for reg, fn, width in _KERNELS:
+                    if counts[reg] == 0:
                         continue
-                    for lo in range(0, idx.size, _CHUNK):
-                        sel = idx[lo:lo + _CHUNK]
+                    idx = np.flatnonzero(codes == reg)
+                    rows = max(1, _BLOCK_ELEMS // (getattr(P, width)
+                                                   if width else 1))
+                    for lo in range(0, idx.size, rows):
+                        sel = idx[lo:lo + rows]
                         pp, uu = fn(self, tf[sel], rf[sel])
                         p[sel] = pp
                         u[sel] = uu

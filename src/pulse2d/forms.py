@@ -25,15 +25,12 @@ from __future__ import annotations
 
 import numpy as np
 
+from .numerics import as_mask
 from .specfun import bessel_j, scaled_i_pair
 
 __all__ = ["form1_eval", "form2_uniform_eval", "form2_jacobi_eval",
            "form3_eval", "form3_components", "small_t_eval", "zero_eval",
            "uniform_paired_terms"]
-
-
-def _mask(x):
-    return np.asarray(x, dtype=bool)
 
 
 _SPLIT = 134217729.0    # 2**27 + 1, Dekker splitting constant for binary64
@@ -119,8 +116,8 @@ def _uniform_terms(ev, tau, r):
     rr = r[..., None]
     xp = (d + kh) / rr
     xm = (d - kh) / rr
-    live_p = _mask(xp > 0)
-    both = _mask(xm > 0)
+    live_p = as_mask(xp > 0)
+    both = as_mask(xm > 0)
     lone = live_p & ~both
     if not live_p.any():
         z = bk.zeros(xp.shape)
@@ -143,7 +140,7 @@ def _uniform_q(ev, t, r, negated):
     tau = -t if negated else t
     # no node can be live when tau + max(kh) <= r
     khmax = ev._u_kh[-1]
-    if not _mask(tau + khmax > r).any():
+    if not as_mask(tau + khmax > r).any():
         z = bk.zeros(t.shape)
         return z, z
     f0, f1 = _uniform_terms(ev, tau, r)
@@ -185,7 +182,7 @@ def _jacobi_q(ev, t, r, negated):
     # grid extremes is two decades above the target accuracy
     d = tau - r
     span = d + P.H
-    live = _mask(span > 0)
+    live = as_mask(span > 0)
     if not live.any():
         z = bk.zeros(t.shape)
         return z, z
@@ -275,11 +272,14 @@ def form3_eval(ev, t, r):
 
 
 def small_t_eval(ev, t, r):
-    """Degenerate early-time limit: the initial pulse, O(eps) velocity."""
+    """Degenerate early-time limit: the initial pulse, O(eps) velocity.
+
+    From u_t = -dp/dr at p = exp(-r^2/2), u_r = t r p to first order in t.
+    """
     bk = ev.backend
     ev._tick("exp", 1)
     p = bk.exp(-(r * r) / 2)
-    return p, -(t * r) * p
+    return p, (t * r) * p
 
 
 def zero_eval(ev, t, r):

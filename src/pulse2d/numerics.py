@@ -23,6 +23,12 @@ __all__ = ["Float64Backend", "MPBackend", "FLOAT64", "mp_backend",
            "lift_elementwise"]
 
 
+def as_mask(x):
+    """Boolean numpy array from a comparison on either backend's arrays
+    (mpmath comparisons come back as object arrays)."""
+    return np.asarray(x, dtype=bool)
+
+
 def lift_elementwise(fn):
     """Lift a scalar function over numpy object arrays (scalars pass through)."""
 

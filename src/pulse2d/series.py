@@ -4,14 +4,19 @@ Far behind the front and at small radius the solution reduces to a linear
 combination of seven Fourier-type moments I_n(t), n = 0..6, each of which
 has a divergent-but-truncated large-t expansion
 
-    sum_{l = ceil(n/2)}^{floor((M-1)/2)}  (2l-1)!! / t^(2l-n+1)
+    s_n = sum_{l = ceil(n/2)}^{lmax}  (2l-1)!! / t^(2l-n+1),   lmax = (M-1)//2
 
 entering with an alternating sign pattern: Re I_n for odd n carries
 (-1)^((n-1)/2 + 1), Im I_n for even n carries (-1)^(n/2).  The truncation
-index M = floor(H^2) ties the remainder to the working tolerance; in the
-dispatch region t >= 1.31 H the term ratio (2l+1)/t^2 stays below 0.59, so
-terms decrease monotonically and the sum may stop early once a term drops
-below eps/8 (the dropped tail is then below ~0.2 eps).
+index M = floor(H^2) ties the remainder to the working tolerance.
+
+All seven sums share one backward recurrence in x = 1/t^2,
+
+    N_lmax = 1,   N_k = 1 + (2k+1) x N_{k+1},
+
+so that s_n = (2 l0 - 1)!! N_{l0} / t^(2 l0 - n + 1) with l0 = ceil(n/2);
+the exponent is 1 for even n and 2 for odd n.  Every term is positive, so
+the Horner pass loses nothing to cancellation.
 
 No kernel evaluations happen here; the cost is O(M) multiplies per point.
 """
@@ -20,58 +25,50 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from .numerics import FLOAT64
-from .specfun import double_factorial
 
 __all__ = ["asymptotic_In_real_part", "asymptotic_In_imag_part",
            "asymptotic_remainder_bound", "series_eval"]
 
 
-def _mask(x):
-    return np.asarray(x, dtype=bool)
-
-
-def _tail_sum(n, t, params, bk, early_stop=True):
-    """sum of (2l-1)!!/t^(2l-n+1) over the truncated index range; t is a
-    backend array."""
-    l0 = (n + 1) // 2
-    lmax = (params.M - 1) // 2
+def _tail_sums(t, params):
+    """(s_0, ..., s_6) on a backend array t > 0."""
     t2 = t * t
-    term = bk.scalar(double_factorial(2 * l0 - 1)) / t ** (2 * l0 - n + 1)
-    tot = term
-    thresh = params.eps / 8
-    for l in range(l0, lmax):
-        if early_stop:
-            live = _mask(term >= thresh)
-            if not live.any():
-                break
-            term = term * ((2 * l + 1) / t2)
-            tot = tot + np.where(live, term, 0.0)
-        else:
-            term = term * ((2 * l + 1) / t2)
-            tot = tot + term
-    return tot
+    x = 1 / t2
+    n_k = {}
+    acc = 1
+    for k in range((params.M - 1) // 2 - 1, -1, -1):
+        acc = 1 + ((2 * k + 1) * x) * acc
+        if k <= 3:
+            n_k[k] = acc
+    return (n_k[0] / t, n_k[1] / t2, n_k[1] / t, 3 * n_k[2] / t2,
+            3 * n_k[2] / t, 15 * n_k[3] / t2, 15 * n_k[3] / t)
 
 
 def asymptotic_In_real_part(n, t, params, backend=FLOAT64, early_stop=True):
-    """Re I_n(t) for odd n in {1, 3, 5}; scalar t."""
+    """Re I_n(t) for odd n in {1, 3, 5}; scalar t.
+
+    ``early_stop`` is accepted for compatibility and has no effect: the
+    full truncated sum costs one recurrence pass.
+    """
     if n not in (1, 3, 5):
         raise ValueError(f"real parts are available for n in {{1,3,5}}, got {n}")
     sign = -1 if ((n - 1) // 2) % 2 == 0 else 1
     with backend.workprec():
-        s = _tail_sum(n, backend.asarray([t]), params, backend, early_stop)
+        s = _tail_sums(backend.asarray([t]), params)[n]
         return sign * s[0]
 
 
 def asymptotic_In_imag_part(n, t, params, backend=FLOAT64, early_stop=True):
-    """Im I_n(t) for even n in {0, 2, 4, 6}; scalar t."""
+    """Im I_n(t) for even n in {0, 2, 4, 6}; scalar t.
+
+    ``early_stop`` has no effect, as for ``asymptotic_In_real_part``.
+    """
     if n not in (0, 2, 4, 6):
         raise ValueError(f"imag parts are available for even n <= 6, got {n}")
     sign = 1 if (n // 2) % 2 == 0 else -1
     with backend.workprec():
-        s = _tail_sum(n, backend.asarray([t]), params, backend, early_stop)
+        s = _tail_sums(backend.asarray([t]), params)[n]
         return sign * s[0]
 
 
@@ -98,13 +95,7 @@ def series_eval(ev, t, r):
     d2 = r * (one / 2 - r2 * (3 * one / 8 - r2 * (15 * one / 128)))
     d4 = -r * r2 * (one / 16 - r2 * (5 * one / 128))
     d6 = r * r4 * (one / 384)
-    s0 = _tail_sum(0, t, P, bk)
-    s1 = _tail_sum(1, t, P, bk)
-    s2 = _tail_sum(2, t, P, bk)
-    s3 = _tail_sum(3, t, P, bk)
-    s4 = _tail_sum(4, t, P, bk)
-    s5 = _tail_sum(5, t, P, bk)
-    s6 = _tail_sum(6, t, P, bk)
+    s0, s1, s2, s3, s4, s5, s6 = _tail_sums(t, P)
     p = -c1 * s1 + c3 * s3 - c5 * s5
     u = d0 * s0 - d2 * s2 + d4 * s4 - d6 * s6
     return p, u

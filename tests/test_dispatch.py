@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import pulse2d
+from pulse2d import dispatch
 from pulse2d.dispatch import (
     EPS_FLOOR,
     PulseEvaluator,
@@ -167,3 +168,54 @@ def test_small_eps_rejected_only_when_invalid():
     # arbitrarily small positive eps is legal; it only costs more nodes
     P = make_params(1e-40)
     assert P.M3 > 105
+
+
+@pytest.mark.parametrize("digits", [20, 40])
+def test_mp_backend_too_coarse_for_eps_rejected(digits):
+    with pytest.raises(ValueError, match="digits"):
+        PulseEvaluator(1e-40, backend=mp_backend(digits))
+
+
+@pytest.mark.parametrize("eps,digits", [
+    (2e-16, 20), (2e-16, 30), (1e-20, 30), (1e-24, 40), (1e-30, 40),
+    (4e-32, 45), (1e-40, 50),
+])
+def test_mp_backend_with_digit_margin_accepted(eps, digits):
+    assert make_params(eps, mp_backend(digits)).eps == eps
+
+
+@pytest.fixture(scope="module")
+def block_batch(ev64):
+    # every region more than twice as large as its block at the default
+    # budget: the widest block is one row per element (SmallT, Series)
+    per_region = 2 * dispatch._BLOCK_ELEMS + 5
+    return ev64.stratified_sample(7 * per_region, seed=11)
+
+
+@pytest.mark.parametrize("budget", [None, 300])
+def test_block_boundaries_are_bit_identical(ev64, block_batch, budget,
+                                            monkeypatch):
+    if budget is not None:
+        monkeypatch.setattr(dispatch, "_BLOCK_ELEMS", budget)
+    t, r, codes = block_batch
+    P = ev64.params
+    width = {Region.SMALL_T: 1, Region.SERIES: 1, Region.FORM2_UNIFORM: P.M2,
+             Region.FORM1_GL: P.M3, Region.FORM2_JACOBI: P.M3,
+             Region.FORM3_GL: P.M3}
+    p, u, c = ev64.evaluate_arrays(t, r)
+    assert np.array_equal(c, codes)
+    # the same points grouped by region, so every block holds other rows
+    order = np.argsort(codes, kind="stable")
+    ps, us, _ = ev64.evaluate_arrays(t[order], r[order])
+    assert np.array_equal(ps, p[order])
+    assert np.array_equal(us, u[order])
+    # one point at a time around the first two block boundaries of each
+    # region and at its last point
+    for reg, w in width.items():
+        idx = np.flatnonzero(codes == reg)
+        rows = max(1, dispatch._BLOCK_ELEMS // w)
+        assert idx.size > 2 * rows
+        for k in (0, rows - 1, rows, 2 * rows - 1, 2 * rows, idx.size - 1):
+            sol = ev64.evaluate(t[idx[k]], r[idx[k]])
+            assert sol.region is reg
+            assert sol.p == p[idx[k]] and sol.ur == u[idx[k]]

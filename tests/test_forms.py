@@ -64,7 +64,8 @@ def test_small_t_exact(ev64):
     r = np.array([1.0])
     p, u = small_t_eval(ev64, t, r)
     assert p[0] == math.exp(-0.5)
-    assert u[0] == -1e-18 * math.exp(-0.5)
+    # u_t = -dp/dr = r exp(-r^2/2) at t = 0, so u_r = +t r p
+    assert u[0] == 1e-18 * math.exp(-0.5)
     # t = 0 hits the initial condition exactly
     p0, u0 = small_t_eval(ev64, np.array([0.0]), np.array([0.0]))
     assert p0[0] == 1.0

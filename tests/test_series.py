@@ -9,6 +9,7 @@ import pytest
 from pulse2d.dispatch import Region
 from pulse2d.numerics import mp_backend
 from pulse2d.oracle import in_reference
+from pulse2d.specfun import double_factorial
 from pulse2d.series import (
     asymptotic_In_imag_part,
     asymptotic_In_real_part,
@@ -78,7 +79,25 @@ def test_early_stop_matches_full_sum(params64):
             else asymptotic_In_real_part
         a = part(n, t, params64, early_stop=True)
         b = part(n, t, params64, early_stop=False)
-        assert abs(a - b) <= params64.eps / 4
+        # the keyword is kept for callers; both give the full truncated sum
+        assert a == b
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_recurrence_matches_term_by_term_sum(params64, n):
+    # reference: the truncated sum of (2l-1)!!/t^(2l-n+1) one term at a time
+    lmax = (params64.M - 1) // 2
+    part = asymptotic_In_real_part if n % 2 else asymptotic_In_imag_part
+    bk = mp_backend(60)
+    for t in (float(params64.thr_series), 40.0):
+        with mpmath.workdps(60):
+            tm = mpmath.mpf(t)
+            ref = sum(double_factorial(2 * l - 1) / tm ** (2 * l - n + 1)
+                      for l in range((n + 1) // 2, lmax + 1))
+            vm = abs(part(n, t, params64, backend=bk))
+            assert abs(vm - ref) <= mpmath.mpf(10) ** -57 * ref
+        v = abs(part(n, t, params64))
+        assert abs(v - float(ref)) <= 4e-16 * float(ref)
 
 
 def test_remainder_bound_monotone_in_t(params64):
