@@ -5,7 +5,7 @@ Subcommands:
   grid       Cartesian product of t and r  -> CSV t,r,p,ur,region
   regions    dispatch tags only            -> CSV t,r,region
   selfcheck  compare against the slow extended-precision reference
-  bench      region-stratified throughput measurement
+  bench      region-stratified throughput measurement (--json: one line)
   rules      dump quadrature nodes/weights
 
 All numbers print with 17 significant digits (round-trippable doubles).
@@ -16,7 +16,10 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import json
 import math
+import os
+import platform
 import sys
 import time
 
@@ -95,8 +98,11 @@ def _axis_values(args, name, parser):
     return vals if vals is not None else pow_
 
 
-def _evaluator(eps: float) -> PulseEvaluator:
-    ev = PulseEvaluator(eps=eps)
+def _evaluator(args, parser) -> PulseEvaluator:
+    try:
+        ev = PulseEvaluator(eps=args.eps)
+    except ValueError as exc:
+        parser.error(str(exc))
     if ev.params.clamped:
         print(f"note: eps tightened to the double-precision floor "
               f"{EPS_FLOOR:g}", file=sys.stderr)
@@ -104,7 +110,7 @@ def _evaluator(eps: float) -> PulseEvaluator:
 
 
 def _cmd_eval(args, parser) -> int:
-    ev = _evaluator(args.eps)
+    ev = _evaluator(args, parser)
     try:
         sol = ev.evaluate(args.t, args.r)
     except ValueError as exc:
@@ -118,7 +124,7 @@ def _cmd_eval(args, parser) -> int:
 def _cmd_grid(args, parser) -> int:
     tvals = _axis_values(args, "t", parser)
     rvals = _axis_values(args, "r", parser)
-    ev = _evaluator(args.eps)
+    ev = _evaluator(args, parser)
     tt = [tv for tv in tvals for _ in rvals]
     rr = rvals * len(tvals)
     try:
@@ -136,7 +142,7 @@ def _cmd_grid(args, parser) -> int:
 def _cmd_regions(args, parser) -> int:
     tvals = _axis_values(args, "t", parser)
     rvals = _axis_values(args, "r", parser)
-    ev = _evaluator(args.eps)
+    ev = _evaluator(args, parser)
     with _open_out(args.out) as out:
         print("t,r,region", file=out)
         for tv in tvals:
@@ -150,7 +156,7 @@ def _cmd_regions(args, parser) -> int:
 
 
 def _cmd_selfcheck(args, parser) -> int:
-    ev = _evaluator(args.eps)
+    ev = _evaluator(args, parser)
     eps = float(ev.params.eps)
     target = args.target_tol if args.target_tol else max(eps * 0.05, 1e-20)
     if args.point is not None:
@@ -205,35 +211,57 @@ def mp_str(v) -> str:
 
 
 def _cmd_bench(args, parser) -> int:
-    ev = _evaluator(args.eps)
+    start = time.perf_counter()
+    ev = _evaluator(args, parser)
+    build_s = time.perf_counter() - start
     t, r, codes = ev.stratified_sample(args.points, seed=args.seed)
     # warm caches and the allocator
     ev.evaluate_arrays(t[:256], r[:256])
     start = time.perf_counter()
     ev.evaluate_arrays(t, r)
     elapsed = time.perf_counter() - start
+    regions = {}
+    for reg in Region:
+        idx = np.nonzero(codes == int(reg))[0]
+        if idx.size == 0:
+            continue
+        t0 = time.perf_counter()
+        ev.evaluate_arrays(t[idx], r[idx])
+        dt = time.perf_counter() - t0
+        regions[reg.label] = {"points": int(idx.size),
+                              "points_per_s": idx.size / dt,
+                              "ns_per_point": 1e9 * dt / idx.size}
     with _open_out(args.out) as out:
+        if args.json:
+            import mpmath
+            import scipy
+            print(json.dumps({
+                "points": int(t.size), "eps": float(ev.params.eps),
+                "seed": args.seed,
+                "points_per_s": t.size / elapsed,
+                "ns_per_point": 1e9 * elapsed / t.size,
+                "evaluator_build_s": build_s,
+                "regions": regions,
+                "versions": {"python": platform.python_version(),
+                             "numpy": np.__version__,
+                             "scipy": scipy.__version__,
+                             "mpmath": mpmath.__version__},
+                "cpu_count": os.cpu_count()}), file=out)
+            return 0
         print(f"points: {t.size}   eps: {_fmt(ev.params.eps)}   "
               f"seed: {args.seed}", file=out)
         print(f"total: {elapsed:.3f} s   throughput: {t.size / elapsed:,.0f} "
               f"points/s", file=out)
         print("region breakdown:", file=out)
-        for reg in Region:
-            idx = np.nonzero(codes == int(reg))[0]
-            if idx.size == 0:
-                continue
-            ts, rs = t[idx], r[idx]
-            t0 = time.perf_counter()
-            ev.evaluate_arrays(ts, rs)
-            dt = time.perf_counter() - t0
-            print(f"  {reg.label:<13} {idx.size:>8} pts   "
-                  f"{1e9 * dt / idx.size:>9.1f} ns/pt", file=out)
+        for label, row in regions.items():
+            print(f"  {label:<13} {row['points']:>8} pts   "
+                  f"{row['ns_per_point']:>9.1f} ns/pt", file=out)
     return 0
 
 
 def _cmd_rules(args, parser) -> int:
     if args.kind == "uniform":
-        ev = _evaluator(args.eps)
+        ev = _evaluator(args, parser)
         rule = uniform_rule(ev.params.M2)
         h = float(rule.h)
         with _open_out(args.out) as out:
@@ -257,8 +285,8 @@ def _cmd_rules(args, parser) -> int:
 
 def _add_eps(sp):
     sp.add_argument("--eps", type=float, default=EPS_FLOOR,
-                    help="target absolute accuracy (default %(default)g; "
-                         "coarser values are tightened to the floor)")
+                    help="target absolute accuracy (default and finest: "
+                         "%(default)g; coarser values are tightened to it)")
 
 
 def _add_axes(sp):
@@ -326,6 +354,10 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("bench", help="region-stratified throughput")
     sp.add_argument("--points", type=int, default=70000)
     sp.add_argument("--seed", type=int, default=20260819)
+    sp.add_argument("--json", action="store_true",
+                    help="print one JSON line: throughput and ns/point per "
+                         "region, evaluator build time, library versions, "
+                         "CPU count")
     _add_eps(sp)
     _add_out(sp)
     sp.set_defaults(func=_cmd_bench)

@@ -115,6 +115,11 @@ class PulseSolution:
     region: Region
 
 
+def _mp_digits(eps_f: float) -> int:
+    """Fewest mp_backend digits that carry eps."""
+    return max(20, math.ceil(_MP_DIGIT_MARGIN - math.log10(eps_f)))
+
+
 def make_params(eps, backend=FLOAT64) -> PrecisionParams:
     eps_f = float(eps)
     if not math.isfinite(eps_f) or eps_f <= 0:
@@ -122,12 +127,10 @@ def make_params(eps, backend=FLOAT64) -> PrecisionParams:
     clamped = eps_f > EPS_FLOOR
     if clamped:
         eps_f = EPS_FLOOR
-    if isinstance(backend, MPBackend) and \
-            backend.dps < _MP_DIGIT_MARGIN - math.log10(eps_f):
-        need = math.ceil(_MP_DIGIT_MARGIN - math.log10(eps_f))
+    if isinstance(backend, MPBackend) and backend.dps < _mp_digits(eps_f):
         raise ValueError(
-            f"eps={eps_f:g} needs an mpmath backend with at least {need} "
-            f"digits, got {backend.dps}")
+            f"eps={eps_f:g} needs an mpmath backend with at least "
+            f"{_mp_digits(eps_f)} digits, got {backend.dps}")
     bk = backend
     with bk.workprec():
         e = bk.scalar(eps_f)
@@ -168,12 +171,18 @@ class PulseEvaluator:
     Builds all rule data once per (eps, backend); evaluation is then
     non-adaptive with O(ln(1/eps)) kernel calls per point.  Thread-safe for
     concurrent reads after construction except for kernel_count, which
-    flips the instrumentation flag.
+    flips the instrumentation flag.  In double precision eps below
+    EPS_FLOOR raises ValueError: it needs an mp_backend.
     """
 
     def __init__(self, eps: float = EPS_FLOOR, backend=None):
         self.backend = backend if backend is not None else FLOAT64
         self.params = make_params(eps, self.backend)
+        if self.backend.dtype is not object and float(eps) < EPS_FLOOR:
+            raise ValueError(
+                f"eps={float(eps):g} is below the double-precision floor "
+                f"{EPS_FLOOR:g}; use backend=mp_backend("
+                f"{_mp_digits(float(eps))}) or more digits")
         self._counting = False
         self._kernel_calls = 0
         self._kernel_by_kind: dict[str, int] = {}

@@ -1,10 +1,12 @@
 """Command-line interface: formats, exit codes, subcommand behavior."""
 
+import json
 import math
 
 import pytest
 
 from pulse2d.cli import main
+from pulse2d.dispatch import Region
 
 
 def run(capsys, *argv):
@@ -35,6 +37,15 @@ def test_eval_clamp_note_on_stderr(capsys):
                          "--eps", "1e-10")
     assert code == 0
     assert "tightened" in err
+
+
+def test_eps_below_floor_exits_2(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["eval", "--t", "2", "--r", "1", "--eps", "1e-20"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "floor" in err and "mp_backend(24)" in err
+    assert "Traceback" not in err
 
 
 def test_eval_rejects_negative_t(capsys):
@@ -148,6 +159,21 @@ def test_bench_runs(capsys):
     assert code == 0
     assert "throughput" in out
     assert "region breakdown:" in out
+    code, out, _ = run(capsys, "bench", "--points", "2000", "--json")
+    assert code == 0
+    lines = out.splitlines()
+    assert len(lines) == 1
+    rec = json.loads(lines[0])
+    assert {"points", "eps", "seed", "points_per_s", "ns_per_point",
+            "evaluator_build_s", "regions", "versions",
+            "cpu_count"} <= set(rec)
+    assert rec["points"] == 2000 and rec["eps"] == 2e-16
+    assert set(rec["regions"]) == {reg.label for reg in Region}
+    assert sum(v["points"] for v in rec["regions"].values()) == 2000
+    for row in rec["regions"].values():
+        assert row["points_per_s"] > 0 and row["ns_per_point"] > 0
+    assert set(rec["versions"]) == {"python", "numpy", "scipy", "mpmath"}
+    assert rec["evaluator_build_s"] > 0 and rec["cpu_count"] >= 1
 
 
 def test_unknown_command(capsys):

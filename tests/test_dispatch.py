@@ -176,6 +176,16 @@ def test_mp_backend_too_coarse_for_eps_rejected(digits):
         PulseEvaluator(1e-40, backend=mp_backend(digits))
 
 
+def test_float64_eps_below_floor_rejected():
+    # 1e-20 in double precision missed the oracle by 1.34e-17 at (2, 1)
+    with pytest.raises(ValueError, match=r"mp_backend\(24\)"):
+        PulseEvaluator(1e-20)
+    with pytest.raises(ValueError, match="floor"):
+        pulse2d.evaluate(2.0, 1.0, eps=1e-20)
+    assert PulseEvaluator(EPS_FLOOR).eps == EPS_FLOOR
+    assert PulseEvaluator(1e-20, backend=mp_backend(24)).eps == 1e-20
+
+
 @pytest.mark.parametrize("eps,digits", [
     (2e-16, 20), (2e-16, 30), (1e-20, 30), (1e-24, 40), (1e-30, 40),
     (4e-32, 45), (1e-40, 50),

@@ -1,11 +1,17 @@
-"""Golub-Welsch rules and the trapezoid-grid step law."""
+"""Golub-Welsch and Newton-refined rules, and the trapezoid-grid step law."""
 
 import math
+import sys
+import threading
+import time
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
+from pulse2d import quadrature
+from pulse2d.dispatch import PulseEvaluator
 from pulse2d.numerics import mp_backend
 from pulse2d.quadrature import (
     KIND_JACOBI,
@@ -130,3 +136,98 @@ def test_mp_cache_separate_from_float64():
     bk = mp_backend(30)
     assert gauss_legendre(9, bk) is gauss_legendre(9, bk)
     assert gauss_legendre(9, bk) is not gauss_legendre(9)
+
+
+def _golub_welsch_mp(kind, m, bk):
+    with bk.workprec():
+        return quadrature._golub_welsch(kind, m, bk)
+
+
+@pytest.mark.parametrize("dps,kind,m", [
+    (dps, kind, m)
+    for dps, ms in [(40, [1, 2, 3, 16, 54, 101]), (60, [32])]
+    for kind in (KIND_LEGENDRE, KIND_JACOBI)
+    for m in ms
+])
+def test_refined_rules_match_golub_welsch(dps, kind, m):
+    bk = mp_backend(dps)
+    rule = rule_cache_get(kind, m, bk)
+    ref = _golub_welsch_mp(kind, m, bk)
+    assert rule.mu0 == ref.mu0
+    with bk.workprec():
+        tol_x = mpmath.mpf(10) ** (2 - dps)
+        tol_w = mpmath.mpf(10) ** (4 - dps)
+        for a, b in zip(rule.nodes, ref.nodes):
+            assert abs(a - b) <= tol_x
+        for a, b in zip(rule.weights, ref.weights):
+            assert abs(a - b) <= tol_w * abs(b)
+
+
+def test_float64_tables_match_golub_welsch_build(monkeypatch):
+    # the double-precision evaluator rounds its hi/lo tables from 40-digit
+    # rules: built by refinement or by the QL, every bit must agree
+    new = PulseEvaluator(2e-16)
+    monkeypatch.setattr(quadrature, "_cache", {})
+    monkeypatch.setattr(quadrature, "_newton_refine",
+                        lambda seed, bk: quadrature._golub_welsch(
+                            seed.kind, seed.m, bk))
+    ref = PulseEvaluator(2e-16)
+    tables = {k: v for k, v in vars(new).items()
+              if isinstance(v, np.ndarray)}
+    assert {"_f1_omega", "_f1_omega_lo", "_f1_coeff", "_gj_nodes",
+            "_gj_weights", "_gj_he_hi", "_gj_he_lo"} <= set(tables)
+    for name, arr in tables.items():
+        other = getattr(ref, name)
+        assert arr.dtype == other.dtype == np.float64, name
+        assert arr.tobytes() == other.tobytes(), name
+
+
+@pytest.mark.parametrize("kind,moment", [
+    (KIND_LEGENDRE, legendre_moment),
+    (KIND_JACOBI, jacobi_moment_over_sqrt2),
+])
+def test_refined_rule_exact_to_degree_2m_minus_1(kind, moment):
+    # m = 200 is beyond what the QL reference builds in reasonable time
+    m, dps = 200, 40
+    bk = mp_backend(dps)
+    rule = rule_cache_get(kind, m, bk)
+    with bk.workprec():
+        scale = 1 if kind == KIND_LEGENDRE else mpmath.sqrt(2)
+        tol = mpmath.mpf(10) ** (3 - dps)
+        terms = list(rule.weights)
+        for k in range(2 * m):
+            exact = moment(k)
+            ref = scale * mpmath.mpf(exact.numerator) / exact.denominator
+            assert abs(mpmath.fsum(terms) - ref) <= tol * max(1, abs(ref)), k
+            terms = [w * x for w, x in zip(terms, rule.nodes)]
+
+
+def test_cold_mp_rule_build_is_shared_across_threads(monkeypatch):
+    # more threads than cores ask for one cold extended rule at once; the
+    # float64 seed is cold too, so a seed lookup under the lock would hang
+    monkeypatch.setattr(quadrature, "_cache", {})
+    bk = mp_backend(30)
+    n_threads = 8
+    barrier = threading.Barrier(n_threads)
+    got = [None] * n_threads
+
+    def work(i):
+        barrier.wait()
+        got[i] = rule_cache_get(KIND_JACOBI, 24, bk)
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i,), daemon=True)
+                   for i in range(n_threads)]
+        for th in threads:
+            th.start()
+        deadline = time.monotonic() + 60
+        for th in threads:
+            th.join(timeout=max(0.0, deadline - time.monotonic()))
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(th.is_alive() for th in threads)
+    assert got[0] is not None
+    assert all(g is got[0] for g in got)
+    assert got[0] is rule_cache_get(KIND_JACOBI, 24, bk)
