@@ -8,32 +8,13 @@ point and no adaptivity.
 
 __version__ = "0.1.0"
 
-from .bounds import (GaussBoundInput, TrapezoidBoundInput, gauss_bound,
-                     trapezoid_bound)
-from .dispatch import (EPS_FLOOR, PrecisionParams, PulseEvaluator,
-                       PulseSolution, Region, classify, energy_integral,
-                       evaluate, evaluate_batch, make_params)
-from .numerics import FLOAT64, mp_backend
-from .oracle import (LatticeReport, OracleError, OracleResult, oracle_eval,
-                     verify_on_lattice)
-from .quadrature import (GaussRule, UniformRule, gauss_jacobi_m12,
-                         gauss_legendre, rule_cache_get, uniform_rule)
-from .series import (asymptotic_In_imag_part, asymptotic_In_real_part,
-                     asymptotic_remainder_bound)
-from .specfun import bessel_j, double_factorial, scaled_bessel_i, scaled_i_pair
+from .dispatch import (EPS_FLOOR, PulseEvaluator, PulseSolution, Region,
+                       classify, evaluate, evaluate_batch)
+from .numerics import mp_backend
+from .oracle import oracle_eval
 
 __all__ = [
     "__version__",
-    "EPS_FLOOR", "PulseEvaluator", "PulseSolution", "PrecisionParams",
-    "Region", "evaluate", "evaluate_batch", "classify", "make_params",
-    "energy_integral",
-    "FLOAT64", "mp_backend",
-    "bessel_j", "scaled_bessel_i", "scaled_i_pair", "double_factorial",
-    "GaussRule", "UniformRule", "gauss_legendre", "gauss_jacobi_m12",
-    "uniform_rule", "rule_cache_get",
-    "TrapezoidBoundInput", "GaussBoundInput", "trapezoid_bound", "gauss_bound",
-    "asymptotic_In_real_part", "asymptotic_In_imag_part",
-    "asymptotic_remainder_bound",
-    "OracleError", "OracleResult", "LatticeReport", "oracle_eval",
-    "verify_on_lattice",
+    "EPS_FLOOR", "PulseEvaluator", "PulseSolution", "Region",
+    "evaluate", "evaluate_batch", "classify", "mp_backend", "oracle_eval",
 ]

@@ -29,9 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import forms, series
+from . import forms, quadrature, series
 from .numerics import FLOAT64, MPBackend, as_mask
-from .quadrature import gauss_jacobi_m12, gauss_legendre, uniform_rule
 
 __all__ = ["Region", "PrecisionParams", "PulseSolution", "PulseEvaluator",
            "make_params", "evaluate", "evaluate_batch", "classify",
@@ -86,6 +85,9 @@ _LABELS = {
     Region.FORM2_JACOBI: "Form2Jacobi",
     Region.FORM3_GL: "Form3GL",
 }
+
+# int8 codes in Region order; int8 leaves keep every np.where in int8
+_CODES = tuple(np.int8(reg) for reg in Region)
 
 
 @dataclass(frozen=True)
@@ -142,12 +144,10 @@ def make_params(eps, backend=FLOAT64) -> PrecisionParams:
         M2 = bk.ceil_int(bk.scalar(0.2) * H2)
         M3 = bk.ceil_int(bk.scalar(0.71) * H2) + 1
         M = bk.floor_int(H2)
-        half = one / 2
-        h = bk.sqrt(2 * bk.pi / (M2 + half))
-        L = h * (M2 + half)
+        uniform = quadrature.uniform_rule(M2, bk)
         return PrecisionParams(
             eps=e, clamped=clamped, H=H, H2=H2, R1=R1, R2=R2,
-            M2=M2, M3=M3, M=M, h=h, L=L,
+            M2=M2, M3=M3, M=M, h=uniform.h, L=uniform.L,
             thr_sum=bk.scalar(1.05) * H,
             thr_diff=bk.scalar(1.152) * H,
             thr_series=bk.scalar(1.31) * H)
@@ -168,11 +168,11 @@ _KERNELS = (
 class PulseEvaluator:
     """Evaluates (p, u_r) of the Gaussian pulse at requested accuracy.
 
-    Builds all rule data once per (eps, backend); evaluation is then
-    non-adaptive with O(ln(1/eps)) kernel calls per point.  Thread-safe for
-    concurrent reads after construction except for kernel_count, which
-    flips the instrumentation flag.  In double precision eps below
-    EPS_FLOOR raises ValueError: it needs an mp_backend.
+    Builds all rule tables once per (eps, backend); evaluation is then
+    non-adaptive with O(ln(1/eps)) kernel calls per point.  Thread-safe
+    after construction, kernel_count included: it counts on the calling
+    thread only.  In double precision eps below EPS_FLOOR raises
+    ValueError: it needs an mp_backend.
     """
 
     def __init__(self, eps: float = EPS_FLOOR, backend=None):
@@ -183,70 +183,11 @@ class PulseEvaluator:
                 f"eps={float(eps):g} is below the double-precision floor "
                 f"{EPS_FLOOR:g}; use backend=mp_backend("
                 f"{_mp_digits(float(eps))}) or more digits")
-        self._counting = False
-        self._kernel_calls = 0
-        self._kernel_by_kind: dict[str, int] = {}
-        bk = self.backend
-        P = self.params
-        with bk.workprec():
-            gl = gauss_legendre(P.M3, bk)
-            gj = gauss_jacobi_m12(P.M3, bk)
-            self._gl_nodes = gl.nodes
-            self._gl_weights = gl.weights
-            self._gj_nodes = gj.nodes
-            self._gj_weights = gj.weights
-            self.uniform = uniform_rule(P.M2, bk)
-            kh = bk.asarray(list(range(1, P.M2 + 1))) * self.uniform.h
-            self._u_kh = kh
-            self._u_gauss = bk.exp(-(kh * kh) / 2)
-            self._u_pref = self.uniform.h / bk.sqrt(2 * bk.pi)
-            self._inv_sqrt_2pi = 1 / bk.sqrt(2 * bk.pi)
-            om = P.H * (1 + gl.nodes) / 2
-            self._f1_omega = om
-            self._f1_coeff = gl.weights * (P.H / 2) * om * bk.exp(-(om * om) / 2)
-        if bk.dtype is not object:
-            self._split_float_tables()
-
-    def _split_float_tables(self):
-        """Replace the node tables with two-part representations.
-
-        Nodes rounded to double are perturbed relatively by eps/2; through
-        the phase-like products t*omega and span*(eta+1)/2 that alone costs
-        an order above the target at the far ends of the regions.  Building
-        each rule once in extended precision and keeping node = hi + lo
-        restores full double accuracy when the residuals are folded into
-        the integrand products to first order.  The correctly rounded
-        weights also replace the float64 eigensolver's, whose few-ulp
-        wobble is visible at the same scale.
-        """
-        from .numerics import mp_backend
-
-        mb = mp_backend(40)
-        with mb.workprec():
-            gl = gauss_legendre(self.params.M3, mb)
-            hq = mb.scalar(float(self.params.H))
-            om = hq * (1 + gl.nodes) / 2
-            cw = gl.weights * (hq / 2) * om * mb.exp(-(om * om) / 2)
-            gj = gauss_jacobi_m12(self.params.M3, mb)
-            he = (gj.nodes + 1) / 2
-        hi = np.array([float(v) for v in om])
-        self._f1_omega = hi
-        self._f1_omega_lo = np.array([float(v - w) for v, w in zip(om, hi)])
-        self._f1_coeff = np.array([float(v) for v in cw])
-        self._gj_nodes = np.array([float(v) for v in gj.nodes])
-        self._gj_weights = np.array([float(v) for v in gj.weights])
-        he_hi = np.array([float(v) for v in he])
-        self._gj_he_hi = he_hi
-        self._gj_he_lo = np.array([float(v - w) for v, w in zip(he, he_hi)])
+        self.tables = forms.rule_tables(self.params, self.backend)
 
     @property
     def eps(self):
         return self.params.eps
-
-    def _tick(self, kind: str, n: int) -> None:
-        if self._counting:
-            self._kernel_calls += n
-            self._kernel_by_kind[kind] = self._kernel_by_kind.get(kind, 0) + n
 
     def _validate(self, t, r) -> None:
         bk = self.backend
@@ -256,35 +197,19 @@ class PulseEvaluator:
             raise ValueError("t and r must be nonnegative")
 
     def classify_codes(self, t, r) -> np.ndarray:
-        """Region codes (int8) for validated backend arrays."""
+        """Region codes (int8) for validated backend arrays: the decision
+        list of the module docstring."""
         P = self.params
-        deep = as_mask(t - r > P.thr_diff)
-        axis1 = as_mask(r <= P.R1)
-        late = as_mask(t >= P.thr_series)
-        small = as_mask(t < P.eps)
-        ahead = as_mask(t < r - P.thr_sum)
-        near = as_mask(t + r < P.thr_sum)
-        axis2 = as_mask(r <= P.R2)
-        conds = [
-            deep & ~axis1,
-            deep & axis1 & late,
-            deep & axis1 & ~late,
-            ~deep & small,
-            ~deep & ~small & ahead,
-            ~deep & ~small & ~ahead & near,
-            ~deep & ~small & ~ahead & ~near & axis2,
-        ]
-        choices = [
-            int(Region.FORM2_UNIFORM),
-            int(Region.SERIES),
-            int(Region.FORM3_GL),
-            int(Region.SMALL_T),
-            int(Region.ZERO),
-            int(Region.FORM1_GL),
-            int(Region.FORM3_GL),
-        ]
-        out = np.select(conds, choices, default=int(Region.FORM2_JACOBI))
-        return out.astype(np.int8)
+        zero, small_t, form1, series, uniform, jacobi, form3 = _CODES
+        return np.where(
+            as_mask(t - r > P.thr_diff),
+            np.where(as_mask(r > P.R1), uniform,
+                     np.where(as_mask(t >= P.thr_series), series, form3)),
+            np.where(as_mask(t < P.eps), small_t,
+                     np.where(as_mask(t < r - P.thr_sum), zero,
+                              np.where(as_mask(t + r < P.thr_sum), form1,
+                                       np.where(as_mask(r <= P.R2), form3,
+                                                jacobi)))))
 
     def classify(self, t, r) -> Region:
         bk = self.backend
@@ -346,14 +271,12 @@ class PulseEvaluator:
 
     def kernel_count(self, t, r) -> int:
         """Kernel evaluations (exp/trig/Bessel/sqrt) for one point."""
-        self._counting = True
-        self._kernel_calls = 0
-        self._kernel_by_kind = {}
+        forms._count.n = 0
         try:
             self.evaluate(t, r)
+            return forms._count.n
         finally:
-            self._counting = False
-        return self._kernel_calls
+            forms._count.n = None
 
     def stratified_sample(self, n_points: int, seed: int = 20260819):
         """Random points covering every region tag about equally.
@@ -464,7 +387,7 @@ def energy_integral(ev: PulseEvaluator, t: float, panels: int = 10000,
     """
     if r_max is None:
         r_max = float(t) + 1.5 * float(ev.params.H)
-    rule = gauss_legendre(4, ev.backend)
+    rule = quadrature.gauss_legendre(4, ev.backend)
     edges = np.linspace(0.0, r_max, panels + 1)
     mid = 0.5 * (edges[1:] + edges[:-1])
     hw = 0.5 * (edges[1] - edges[0])

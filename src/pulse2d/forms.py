@@ -1,10 +1,10 @@
 """Quadrature evaluation kernels, one per dispatch region.
 
-Every function takes the evaluator (for precomputed rule data, precision
-parameters and instrumentation) plus 1-d backend arrays t, r, and returns
-(p, u_r) arrays.  All reductions go through elementwise multiplies and
-np.sum(axis=-1) so a batched evaluation reproduces single-point results
-bit for bit.
+Every function takes the evaluator (for its backend, precision parameters
+and the RuleTables built here by ``rule_tables``) plus 1-d backend arrays
+t, r, and returns (p, u_r) arrays.  All reductions go through elementwise
+multiplies and np.sum(axis=-1) so a batched evaluation reproduces
+single-point results bit for bit.
 
 Region conventions (tau = +-t, H = crop radius, eps = target accuracy):
 
@@ -23,14 +23,108 @@ Region conventions (tau = +-t, H = crop radius, eps = target accuracy):
 
 from __future__ import annotations
 
+import threading
+from dataclasses import dataclass
+
 import numpy as np
 
-from .numerics import as_mask
+from .numerics import as_mask, mp_backend
+from .quadrature import gauss_jacobi_m12, gauss_legendre
 from .specfun import bessel_j, scaled_i_pair
 
-__all__ = ["form1_eval", "form2_uniform_eval", "form2_jacobi_eval",
-           "form3_eval", "form3_components", "small_t_eval", "zero_eval",
+__all__ = ["RuleTables", "rule_tables", "form1_eval", "form2_uniform_eval",
+           "form2_jacobi_eval", "form3_eval", "small_t_eval", "zero_eval",
            "uniform_paired_terms"]
+
+
+@dataclass(frozen=True)
+class RuleTables:
+    """Node tables of every kernel for one (eps, backend); arrays read-only.
+
+    In double precision the tables whose nodes the kernels multiply by t or
+    r come as hi + lo pairs (``*_lo``); under mpmath the lo fields are None.
+    """
+    f1_omega: np.ndarray            # Form1GL: omega_i = H (1 + x_i) / 2
+    f1_omega_lo: np.ndarray | None
+    f1_coeff: np.ndarray            # w_i (H/2) omega_i exp(-omega_i^2 / 2)
+    gj_nodes: np.ndarray            # Form2Jacobi: eta_i, weight (1+x)^(-1/2)
+    gj_weights: np.ndarray
+    gj_half: np.ndarray             # (eta_i + 1) / 2
+    gj_half_lo: np.ndarray | None
+    gl_nodes: np.ndarray            # Form3GL: Gauss-Legendre
+    gl_weights: np.ndarray
+    u_kh: np.ndarray                # Form2Uniform: k h, k = 1..M2
+    u_gauss: np.ndarray             # exp(-(k h)^2 / 2)
+    u_pref: object                  # h / sqrt(2 pi)
+    inv_sqrt_2pi: object
+
+
+def _read_only(a):
+    a.setflags(write=False)
+    return a
+
+
+def _split(v, mp):
+    """(hi, lo): v itself and None under mpmath, else the doubles nearest
+    each element of v and nearest the rest v - hi."""
+    if mp:
+        return _read_only(v), None
+    hi = np.array([float(x) for x in v])
+    lo = np.array([float(x - h) for x, h in zip(v, hi)])
+    return _read_only(hi), _read_only(lo)
+
+
+def rule_tables(params, backend) -> RuleTables:
+    """All kernel tables for the precision parameters under backend.
+
+    Double-precision Form1GL and Form2Jacobi tables are rounded from
+    40-digit rules.  Nodes rounded to double are perturbed relatively by
+    eps/2; through the phase-like products t*omega and span*(eta+1)/2 that
+    alone costs an order above the target at the far ends of the regions.
+    Keeping node = hi + lo restores full double accuracy when the kernels
+    fold the residuals into the integrand products to first order.  The
+    correctly rounded weights also replace the float64 eigensolver's, whose
+    few-ulp wobble is visible at the same scale.  Form3GL keeps the float64
+    rule.
+    """
+    P = params
+    bk = backend
+    mp = bk.dtype is object
+    src = bk if mp else mp_backend(40)
+    # split at src's precision: the lo parts must not depend on the
+    # caller's global mpmath precision
+    with src.workprec():
+        gl = gauss_legendre(P.M3, src)
+        gj = gauss_jacobi_m12(P.M3, src)
+        H = src.scalar(P.H)
+        om = H * (1 + gl.nodes) / 2
+        cw = gl.weights * (H / 2) * om * src.exp(-(om * om) / 2)
+        om_hi, om_lo = _split(om, mp)
+        half_hi, half_lo = _split((gj.nodes + 1) / 2, mp)
+        cw, gj_nodes, gj_weights = (_split(v, mp)[0]
+                                    for v in (cw, gj.nodes, gj.weights))
+    if not mp:
+        gl = gauss_legendre(P.M3)
+    with bk.workprec():
+        kh = bk.asarray(list(range(1, P.M2 + 1))) * P.h
+        return RuleTables(
+            f1_omega=om_hi, f1_omega_lo=om_lo, f1_coeff=cw,
+            gj_nodes=gj_nodes, gj_weights=gj_weights,
+            gj_half=half_hi, gj_half_lo=half_lo,
+            gl_nodes=gl.nodes, gl_weights=gl.weights,
+            u_kh=_read_only(kh),
+            u_gauss=_read_only(bk.exp(-(kh * kh) / 2)),
+            u_pref=P.h / bk.sqrt(2 * bk.pi),
+            inv_sqrt_2pi=1 / bk.sqrt(2 * bk.pi))
+
+
+# .n: kernel evaluations on this thread while kernel_count runs on it
+_count = threading.local()
+
+
+def _tick(n):
+    if getattr(_count, "n", None) is not None:
+        _count.n += n
 
 
 _SPLIT = 134217729.0    # 2**27 + 1, Dekker splitting constant for binary64
@@ -60,11 +154,13 @@ def _two_sum(a, b):
 def form1_eval(ev, t, r):
     """Oscillatory near-field integral, cropped at omega = H."""
     bk = ev.backend
-    om = ev._f1_omega
-    cw = ev._f1_coeff
-    ev._tick("bessel_j", 2 * om.size)
-    ev._tick("trig", 2 * om.size)
-    if bk.dtype is object:
+    tb = ev.tables
+    om = tb.f1_omega
+    cw = tb.f1_coeff
+    _tick(4 * om.size)
+    if tb.f1_omega_lo is None:
+        # mpmath nodes carry the working precision; the compensated branch
+        # would only slow it down
         X = r[..., None] * om
         T = t[..., None] * om
         j0 = bessel_j(0, X, bk)
@@ -75,7 +171,7 @@ def form1_eval(ev, t, r):
         # arguments reach ~H^2; rounding them costs eps*|arg|/2 ~ 4e-15
         # inside the kernels, so carry the product residual (plus the part
         # of the node below double resolution) to first order
-        lo = ev._f1_omega_lo
+        lo = tb.f1_omega_lo
         X, dx = _two_prod(r[..., None], om)
         T, dt_ = _two_prod(t[..., None], om)
         dx = dx + r[..., None] * lo
@@ -109,7 +205,7 @@ def _uniform_terms(ev, tau, r):
     cancellation (every factor is positive when both nodes are live).
     """
     bk = ev.backend
-    kh = ev._u_kh
+    kh = ev.tables.u_kh
     # route through d = tau - r so the large tau + kh never meets a nearby
     # r head-on; at tau ~ r ~ 400 the naive form loses ~eps*tau of accuracy
     d = (tau - r)[..., None]
@@ -122,7 +218,7 @@ def _uniform_terms(ev, tau, r):
     if not live_p.any():
         z = bk.zeros(xp.shape)
         return z, z
-    ev._tick("sqrt", 2 * kh.size)
+    _tick(2 * kh.size)
     sp = bk.sqrt(np.where(live_p, xp * (xp + 2), 1))
     sm = bk.sqrt(np.where(both, xm * (xm + 2), 1))
     shared = -4 * (kh * kh) * tau[..., None] / ((r * r)[..., None] * sp * sm)
@@ -137,16 +233,17 @@ def _uniform_terms(ev, tau, r):
 
 def _uniform_q(ev, t, r, negated):
     bk = ev.backend
+    tb = ev.tables
     tau = -t if negated else t
     # no node can be live when tau + max(kh) <= r
-    khmax = ev._u_kh[-1]
+    khmax = tb.u_kh[-1]
     if not as_mask(tau + khmax > r).any():
         z = bk.zeros(t.shape)
         return z, z
     f0, f1 = _uniform_terms(ev, tau, r)
-    pref = ev._u_pref / r
-    q0 = pref * np.sum(ev._u_gauss * f0, axis=-1)
-    q1 = pref * np.sum(ev._u_gauss * f1, axis=-1)
+    pref = tb.u_pref / r
+    q0 = pref * np.sum(tb.u_gauss * f0, axis=-1)
+    q1 = pref * np.sum(tb.u_gauss * f1, axis=-1)
     return q0, q1
 
 
@@ -161,7 +258,7 @@ def uniform_paired_terms(ev, t, r):
     """Bracket values at one (t, r): (kh nodes, f0 terms, f1 terms)."""
     bk = ev.backend
     f0, f1 = _uniform_terms(ev, bk.asarray([t]), bk.asarray([r]))
-    return ev._u_kh, f0[0], f1[0]
+    return ev.tables.u_kh, f0[0], f1[0]
 
 
 def _jacobi_q(ev, t, r, negated):
@@ -176,6 +273,7 @@ def _jacobi_q(ev, t, r, negated):
     """
     bk = ev.backend
     P = ev.params
+    tb = ev.tables
     tau = -t if negated else t
     # window width tau + H - r built from the small difference d = tau - r;
     # forming r(1 + xi) - tau directly would round at eps*tau, which at the
@@ -189,24 +287,21 @@ def _jacobi_q(ev, t, r, negated):
     ss = np.where(live, span, 1)
     b = ss / r
     c = -1 - 4 / b
-    eta = ev._gj_nodes
-    w = ev._gj_weights
-    ev._tick("exp", eta.size)
-    ev._tick("sqrt", eta.size)
-    if bk.dtype is object:
-        half_eta = (eta + 1) / 2
-        xi = b[..., None] * half_eta
-        arg = ss[..., None] * half_eta - d[..., None]
+    eta = tb.gj_nodes
+    w = tb.gj_weights
+    he = tb.gj_half
+    _tick(2 * eta.size)
+    xi = b[..., None] * he
+    if tb.gj_half_lo is None:
+        arg = ss[..., None] * he - d[..., None]
         gauss = bk.exp(-(arg * arg) / 2)
     else:
         # node and product roundings each shift arg by ~eps*d/2 right at
         # the integrand peak; carry both residuals to first order like the
         # near-field rule does with its split node table
-        he = ev._gj_he_hi
-        xi = b[..., None] * he
         prod, perr = _two_prod(ss[..., None], he)
         arg, serr = _two_sum(prod, -d[..., None])
-        darg = serr + perr + ss[..., None] * ev._gj_he_lo
+        darg = serr + perr + ss[..., None] * tb.gj_half_lo
         gauss = bk.exp(-(arg * arg) / 2)
         gauss = gauss - (arg * darg) * gauss
         arg = arg + darg
@@ -218,8 +313,8 @@ def _jacobi_q(ev, t, r, negated):
     g1 = arg / op + 1 / (r[..., None] * (op * op))
     q0 = np.sum(base * arg, axis=-1)
     q1 = np.sum(base * g1, axis=-1)
-    q0 = np.where(live, ev._inv_sqrt_2pi * q0, 0.0)
-    q1 = np.where(live, ev._inv_sqrt_2pi * q1, 0.0)
+    q0 = np.where(live, tb.inv_sqrt_2pi * q0, 0.0)
+    q1 = np.where(live, tb.inv_sqrt_2pi * q1, 0.0)
     return q0, q1
 
 
@@ -230,25 +325,24 @@ def form2_jacobi_eval(ev, t, r):
     return q0p + q0m, q1p - q1m
 
 
-def form3_components(ev, t, r):
-    """Axis-band moment integrals (J01, J03, J12) on backend arrays.
+def form3_eval(ev, t, r):
+    """Axis-band evaluation; u_r vanishes identically at r = 0.
 
-    Valid for t >= (r + H)/(stretching factor) so that a = 1 - (r + H)/t
-    is positive; the dispatch regions using this form guarantee it.
+    Sums the moment integrals J01, J03 and J12.  Valid for t >= (r + H)/
+    (stretching factor) so that a = 1 - (r + H)/t is positive; the dispatch
+    regions using this form guarantee it.
     """
     bk = ev.backend
     P = ev.params
-    eta = ev._gl_nodes
-    w = ev._gl_weights
+    eta = ev.tables.gl_nodes
+    w = ev.tables.gl_weights
     a = 1 - (r + P.H) / t
     c = 1 - 2 * t / (r + P.H)
     half = (1 - a) / 2
     xi = (1 + a)[..., None] / 2 + half[..., None] * eta
     zeta = 1 - xi
     arg = (r - t)[..., None] + t[..., None] * xi
-    ev._tick("exp", eta.size)
-    ev._tick("bessel_i", 2 * eta.size)
-    ev._tick("sqrt", eta.size + 1)
+    _tick(4 * eta.size + 1)
     gauss = bk.exp(-(arg * arg) / 2)
     x = (r * t)[..., None] * zeta
     i0, i1 = scaled_i_pair(x, bk)
@@ -258,12 +352,6 @@ def form3_components(ev, t, r):
     j01 = np.sum(bz * i0, axis=-1)
     j03 = np.sum(bz * (zeta * zeta) * i0, axis=-1)
     j12 = np.sum(bz * zeta * i1, axis=-1)
-    return j01, j03, j12
-
-
-def form3_eval(ev, t, r):
-    """Axis-band evaluation; u_r vanishes identically at r = 0."""
-    j01, j03, j12 = form3_components(ev, t, r)
     t2 = t * t
     rt = r * t
     p = j01 - t2 * j03 + rt * j12
@@ -277,7 +365,7 @@ def small_t_eval(ev, t, r):
     From u_t = -dp/dr at p = exp(-r^2/2), u_r = t r p to first order in t.
     """
     bk = ev.backend
-    ev._tick("exp", 1)
+    _tick(1)
     p = bk.exp(-(r * r) / 2)
     return p, (t * r) * p
 

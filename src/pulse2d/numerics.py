@@ -46,7 +46,6 @@ def lift_elementwise(fn):
 class Float64Backend:
     """IEEE binary64 backend on numpy ufuncs."""
 
-    name = "float64"
     key = "float64"
     dtype = np.float64
     eps = float(np.finfo(np.float64).eps)
@@ -71,10 +70,6 @@ class Float64Backend:
         return np.zeros(shape, dtype=np.float64)
 
     @staticmethod
-    def to_float(x):
-        return float(x)
-
-    @staticmethod
     def ceil_int(x):
         return int(math.ceil(x))
 
@@ -94,7 +89,6 @@ class Float64Backend:
 class MPBackend:
     """Arbitrary-precision backend on mpmath (``dps`` decimal digits)."""
 
-    name = "mp"
     dtype = object
 
     def __init__(self, dps: int = 40):
@@ -138,10 +132,6 @@ class MPBackend:
         out = np.empty(shape, dtype=object)
         out[...] = mpmath.mpf(0)
         return out
-
-    @staticmethod
-    def to_float(x):
-        return float(x)
 
     def ceil_int(self, x):
         with mpmath.workdps(self.dps):

@@ -24,6 +24,8 @@ extended precision.
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import mpmath
@@ -287,7 +289,8 @@ def in_reference(n, t, dps=60):
             for k in range(n):
                 hkm, hk = hk, w * hk - k * hkm
             e = hk * mpmath.exp(-w * w / 2)
-            return e * mpmath.cos(tm * w), e * mpmath.sin(tm * w)
+            c, s = mpmath.cos_sin(tm * w)
+            return e * c, e * s
 
         rule = gauss_legendre(m_rule, mp_backend(dps))
         re_q, im_q = _integrate_panels(f, edges, rule, 2)
@@ -298,6 +301,13 @@ def in_reference(n, t, dps=60):
             raise OracleError(
                 f"I_{n}({float(t)}) routes disagree by {float(diff):.3e}")
         return val
+
+
+def _oracle_map(tt, rr, target_tol, use_form1):
+    """oracle_eval at each point, in order, from up to four processes."""
+    with ProcessPoolExecutor(min(4, os.cpu_count() or 1)) as pool:
+        yield from pool.map(oracle_eval, tt, rr, [target_tol] * len(tt),
+                            [use_form1] * len(tt), chunksize=8)
 
 
 def verify_on_lattice(evaluator, ns, ms, target_tol=None, base=1.01,
@@ -324,8 +334,8 @@ def verify_on_lattice(evaluator, ns, ms, target_tol=None, base=1.01,
     digits = int(math.ceil(-math.log10(target_tol)))
     dps = digits + 22
     from .dispatch import Region
-    for i, (tv, rv) in enumerate(zip(tt, rr)):
-        ref = oracle_eval(tv, rv, target_tol=target_tol, use_form1=use_form1)
+    refs = _oracle_map(tt, rr, target_tol, use_form1)
+    for i, (tv, rv, ref) in enumerate(zip(tt, rr, refs)):
         est_max = max(est_max, ref.est_err)
         with mpmath.workdps(dps):
             dp = float(abs(mpmath.mpf(float(p[i])) - ref.p))

@@ -1,9 +1,14 @@
 """Precision parameters, region classification, and the evaluator facade."""
 
+import dataclasses
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import pulse2d
 from pulse2d import dispatch
@@ -123,6 +128,133 @@ def test_stratified_sample_deterministic(ev64):
 def test_kernel_counts_frozen(ev64, region):
     t, r = POINTS[region]
     assert ev64.kernel_count(t, r) == KERNELS[region]
+
+
+def test_kernel_count_on_a_shared_evaluator_is_per_thread():
+    # another thread evaluating Form3GL points must not leak into the count
+    ev = PulseEvaluator(2e-16)
+    stop = threading.Event()
+
+    def busy():
+        while not stop.is_set():
+            ev.evaluate(*POINTS[Region.FORM3_GL])
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    worker = threading.Thread(target=busy, daemon=True)
+    try:
+        worker.start()
+        counts = [ev.kernel_count(*POINTS[Region.FORM1_GL])
+                  for _ in range(200)]
+    finally:
+        stop.set()
+        worker.join(timeout=60)
+        sys.setswitchinterval(old)
+    assert not worker.is_alive()
+    assert set(counts) == {KERNELS[Region.FORM1_GL]}
+
+
+@pytest.fixture(scope="module", params=["float64", "mp40"])
+def any_ev(request, ev64):
+    if request.param == "float64":
+        return ev64
+    return PulseEvaluator(1e-30, backend=mp_backend(40))
+
+
+def test_evaluator_holds_params_and_read_only_tables(any_ev):
+    assert set(vars(any_ev)) == {"backend", "params", "tables"}
+    mp = any_ev.backend.dtype is object
+    assert (any_ev.tables.f1_omega_lo is None) is mp
+    assert (any_ev.tables.gj_half_lo is None) is mp
+    for f in dataclasses.fields(any_ev.tables):
+        v = getattr(any_ev.tables, f.name)
+        if isinstance(v, np.ndarray):
+            assert not v.flags.writeable, f.name
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        any_ev.tables.u_kh = None
+
+
+def _decide(t, r, P):
+    """The module docstring's decision list, one scalar point."""
+    if t - r > P.thr_diff:
+        if r > P.R1:
+            return Region.FORM2_UNIFORM
+        elif t >= P.thr_series:
+            return Region.SERIES
+        else:
+            return Region.FORM3_GL
+    elif t < P.eps:
+        return Region.SMALL_T
+    elif t < r - P.thr_sum:
+        return Region.ZERO
+    elif t + r < P.thr_sum:
+        return Region.FORM1_GL
+    elif r <= P.R2:
+        return Region.FORM3_GL
+    else:
+        return Region.FORM2_JACOBI
+
+
+def _ulps(x, k):
+    """x moved k units in the last place (toward +inf for k > 0)."""
+    for _ in range(abs(k)):
+        x = math.nextafter(x, math.inf if k > 0 else -math.inf)
+    return x
+
+
+@st.composite
+def _seam_point(draw, P):
+    """(t, r) on or a few ulps off one seam of the decision list."""
+    s, d = float(P.thr_sum), float(P.thr_diff)
+    ser, r1, r2 = float(P.thr_series), float(P.R1), float(P.R2)
+    eps = float(P.eps)
+    k = draw(st.just(0) | st.integers(-4, 4))
+    free = draw(st.floats(0.0, 60.0))
+    seam = draw(st.sampled_from(
+        ["t-r=d", "t-r=s", "r-t=s", "t+r=s", "t+r=d", "t=ser", "r=R1",
+         "r=R2", "t=eps", "free"]))
+    if seam in ("t-r=d", "t-r=s"):
+        r = free
+        t = _ulps(r + (d if seam == "t-r=d" else s), k)
+    elif seam == "r-t=s":
+        t = free
+        r = _ulps(t + s, k)
+    elif seam in ("t+r=s", "t+r=d"):
+        total = s if seam == "t+r=s" else d
+        t = draw(st.floats(0.0, total))
+        r = max(0.0, _ulps(total - t, k))
+    elif seam == "t=ser":
+        t = _ulps(ser, k)
+        r = draw(st.sampled_from([0.0, _ulps(r1, k), free * r1 / 30]))
+    elif seam in ("r=R1", "r=R2"):
+        # t behind the front (R1 decides) or in the band (R2 decides)
+        r = _ulps(r1 if seam == "r=R1" else r2, k)
+        j = draw(st.just(0) | st.integers(-4, 4))
+        t = draw(st.sampled_from(
+            [free, r + d + free, draw(st.floats(s - r, d + r)),
+             _ulps(r + d, j), _ulps(ser, j), _ulps(s - r, j)]))
+    elif seam == "t=eps":
+        t = _ulps(eps, k)
+        r = free
+    else:
+        t = draw(st.floats(0.0, 400.0))
+        r = free
+    return max(t, 0.0), r
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(data=st.data())
+def test_classify_codes_follow_decision_list(any_ev, data):
+    P = any_ev.params
+    bk = any_ev.backend
+    pts = data.draw(st.lists(_seam_point(P), min_size=8, max_size=24))
+    with bk.workprec():
+        t = bk.asarray([p[0] for p in pts])
+        r = bk.asarray([p[1] for p in pts])
+        codes = any_ev.classify_codes(t, r)
+        want = [_decide(tv, rv, P) for tv, rv in zip(t, r)]
+    assert codes.dtype == np.int8
+    assert [Region(int(c)) for c in codes] == want
 
 
 def test_label_roundtrip():

@@ -144,3 +144,9 @@ def test_verify_on_lattice_smoke(ev64):
     assert isinstance(rep.worst_region, str)
     assert rep.est_err_max <= 1e-20  # default tol 1e-17, gate tol * 1e-3
     assert math.isfinite(rep.worst_t) and math.isfinite(rep.worst_r)
+
+
+def test_verify_on_lattice_raises_worker_oracle_error(ev64):
+    # the oracle runs in worker processes; its errors must surface as-is
+    with pytest.raises(OracleError, match="target_tol out of range"):
+        verify_on_lattice(ev64, range(20), [0], target_tol=1e-30)

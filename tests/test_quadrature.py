@@ -1,5 +1,6 @@
 """Golub-Welsch and Newton-refined rules, and the trapezoid-grid step law."""
 
+import dataclasses
 import math
 import sys
 import threading
@@ -172,14 +173,30 @@ def test_float64_tables_match_golub_welsch_build(monkeypatch):
                         lambda seed, bk: quadrature._golub_welsch(
                             seed.kind, seed.m, bk))
     ref = PulseEvaluator(2e-16)
-    tables = {k: v for k, v in vars(new).items()
-              if isinstance(v, np.ndarray)}
-    assert {"_f1_omega", "_f1_omega_lo", "_f1_coeff", "_gj_nodes",
-            "_gj_weights", "_gj_he_hi", "_gj_he_lo"} <= set(tables)
+    tables = {f.name: getattr(new.tables, f.name)
+              for f in dataclasses.fields(new.tables)}
+    tables = {k: v for k, v in tables.items() if isinstance(v, np.ndarray)}
+    assert {"f1_omega", "f1_omega_lo", "f1_coeff", "gj_nodes", "gj_weights",
+            "gj_half", "gj_half_lo", "gl_nodes", "gl_weights"} <= set(tables)
     for name, arr in tables.items():
-        other = getattr(ref, name)
+        other = getattr(ref.tables, name)
         assert arr.dtype == other.dtype == np.float64, name
         assert arr.tobytes() == other.tobytes(), name
+        assert not arr.flags.writeable, name
+
+
+def test_float64_tables_ignore_global_mpmath_precision():
+    # a hi/lo split at the caller's mpmath precision would round every lo
+    # part to about 17 bits under a 5-digit global setting
+    ref = PulseEvaluator(2e-16).tables
+    with mpmath.workdps(5):
+        low = PulseEvaluator(2e-16).tables
+    for f in dataclasses.fields(ref):
+        a, b = getattr(ref, f.name), getattr(low, f.name)
+        if isinstance(a, np.ndarray):
+            assert a.tobytes() == b.tobytes(), f.name
+        else:
+            assert a == b, f.name
 
 
 @pytest.mark.parametrize("kind,moment", [
