@@ -28,7 +28,7 @@ import numpy as np
 from . import __version__
 from .dispatch import EPS_FLOOR, PulseEvaluator, Region
 from .oracle import OracleError, oracle_eval, verify_on_lattice
-from .quadrature import gauss_jacobi_m12, gauss_legendre, uniform_rule
+from .quadrature import gauss_jacobi_m12, gauss_legendre
 
 
 def _fmt(x) -> str:
@@ -268,14 +268,11 @@ def _cmd_bench(args, parser) -> int:
 
 def _cmd_rules(args, parser) -> int:
     if args.kind == "uniform":
-        ev = _evaluator(args, parser)
-        rule = uniform_rule(ev.params.M2)
-        h = float(rule.h)
+        tb = _evaluator(args, parser).tables
         with _open_out(args.out) as out:
             print("k,node,weight", file=out)
-            for k in range(1, rule.m2 + 1):
-                kh = k * h
-                w = h / math.sqrt(2 * math.pi) * math.exp(-kh * kh / 2)
+            for k, (kh, w) in enumerate(
+                    zip(tb.u_kh, tb.u_pref * tb.u_gauss), start=1):
                 print(f"{k},{_fmt(kh)},{_fmt(w)}", file=out)
         return 0
     if args.m is None:

@@ -68,13 +68,6 @@ class Region(enum.IntEnum):
     def label(self) -> str:
         return _LABELS[self]
 
-    @classmethod
-    def from_label(cls, label: str) -> "Region":
-        for reg, name in _LABELS.items():
-            if name == label:
-                return reg
-        raise ValueError(f"unknown region label {label!r}")
-
 
 _LABELS = {
     Region.ZERO: "Zero",
@@ -377,16 +370,15 @@ def classify(t, r, eps: float = EPS_FLOOR) -> Region:
     return _default_evaluator(eps).classify(t, r)
 
 
-def energy_integral(ev: PulseEvaluator, t: float, panels: int = 10000,
-                    r_max: float | None = None) -> float:
-    """pi * integral of (p^2 + u_r^2) r dr over [0, r_max].
+def energy_integral(ev: PulseEvaluator, t: float) -> float:
+    """pi * integral of (p^2 + u_r^2) r dr over [0, t + 1.5 H].
 
     The exact acoustic energy is pi/2 at every t.  Composite 4-node
-    Gauss-Legendre over uniform panels; r_max defaults to t + 1.5 H which
-    covers everything above the eps floor.
+    Gauss-Legendre over uniform panels; t + 1.5 H covers everything above
+    the eps floor.
     """
-    if r_max is None:
-        r_max = float(t) + 1.5 * float(ev.params.H)
+    panels = 10000
+    r_max = float(t) + 1.5 * float(ev.params.H)
     rule = quadrature.gauss_legendre(4, ev.backend)
     edges = np.linspace(0.0, r_max, panels + 1)
     mid = 0.5 * (edges[1:] + edges[:-1])

@@ -19,6 +19,11 @@ Region conventions (tau = +-t, H = crop radius, eps = target accuracy):
 * axis band: Gauss-Legendre in the self-similar variable with both scaled
   modified Bessel kernels; the parity-even combination stays finite at
   r = 0.
+
+Both Form2 kernels sum tau = t only: their regions have t + r >= 1.05 H,
+so the tau = -t half-line lies beyond the crop radius, and the uniform
+grid's largest node M2 h (about 1.12 H, pinned by the tests) is below
+t - r > 1.152 H, so no +kh node lacks its -kh partner in the domain.
 """
 
 from __future__ import annotations
@@ -33,8 +38,7 @@ from .quadrature import gauss_jacobi_m12, gauss_legendre
 from .specfun import bessel_j, scaled_i_pair
 
 __all__ = ["RuleTables", "rule_tables", "form1_eval", "form2_uniform_eval",
-           "form2_jacobi_eval", "form3_eval", "small_t_eval", "zero_eval",
-           "uniform_paired_terms"]
+           "form2_jacobi_eval", "form3_eval", "small_t_eval", "zero_eval"]
 
 
 @dataclass(frozen=True)
@@ -80,7 +84,7 @@ def rule_tables(params, backend) -> RuleTables:
     Double-precision Form1GL and Form2Jacobi tables are rounded from
     40-digit rules.  Nodes rounded to double are perturbed relatively by
     eps/2; through the phase-like products t*omega and span*(eta+1)/2 that
-    alone costs an order above the target at the far ends of the regions.
+    by itself costs an order above the target at the far ends of the regions.
     Keeping node = hi + lo restores full double accuracy when the kernels
     fold the residuals into the integrand products to first order.  The
     correctly rounded weights also replace the float64 eigensolver's, whose
@@ -191,95 +195,64 @@ def form1_eval(ev, t, r):
     return p, u
 
 
-def _uniform_terms(ev, tau, r):
-    """Per-node bracket values for the uniform grid at shift tau.
+def _uniform_terms(ev, t, r):
+    """Per-node bracket values of the uniform grid at shift tau = t.
 
     Returns (f0, f1) of shape (..., M2): the regularized sum of the +-kh
-    node pair where both lie in the domain, the bare +kh term where only it
-    does, and exact zero elsewhere.  The pair sum uses
+    node pair,
 
-        f_j(kh) + f_j(-kh) = -4 (kh)^2 tau / (r^2 s+ s- D_j),
+        f_j(kh) + f_j(-kh) = -4 (kh)^2 t / (r^2 s+ s- D_j),
         D_0 = s+ + s-,   D_1 = (1 + xi+) s- + (1 + xi-) s+,
 
     with s+- = sqrt(xi+- (xi+- + 2)), which is exact and has no subtractive
-    cancellation (every factor is positive when both nodes are live).
+    cancellation: every factor is positive, as xi- > 0 at every node.
     """
     bk = ev.backend
     kh = ev.tables.u_kh
-    # route through d = tau - r so the large tau + kh never meets a nearby
-    # r head-on; at tau ~ r ~ 400 the naive form loses ~eps*tau of accuracy
-    d = (tau - r)[..., None]
+    # route through d = t - r so the large t + kh never meets a nearby r
+    # head-on; at t ~ r ~ 400 the naive form loses ~eps*t of accuracy
+    d = (t - r)[..., None]
     rr = r[..., None]
     xp = (d + kh) / rr
     xm = (d - kh) / rr
-    live_p = as_mask(xp > 0)
-    both = as_mask(xm > 0)
-    lone = live_p & ~both
-    if not live_p.any():
-        z = bk.zeros(xp.shape)
-        return z, z
     _tick(2 * kh.size)
-    sp = bk.sqrt(np.where(live_p, xp * (xp + 2), 1))
-    sm = bk.sqrt(np.where(both, xm * (xm + 2), 1))
-    shared = -4 * (kh * kh) * tau[..., None] / ((r * r)[..., None] * sp * sm)
-    pair0 = shared / (sp + sm)
-    pair1 = shared / ((1 + xp) * sm + (1 + xm) * sp)
-    lone0 = kh / sp
-    lone1 = lone0 * (1 + xp)
-    f0 = np.where(both, pair0, np.where(lone, lone0, 0.0))
-    f1 = np.where(both, pair1, np.where(lone, lone1, 0.0))
-    return f0, f1
-
-
-def _uniform_q(ev, t, r, negated):
-    bk = ev.backend
-    tb = ev.tables
-    tau = -t if negated else t
-    # no node can be live when tau + max(kh) <= r
-    khmax = tb.u_kh[-1]
-    if not as_mask(tau + khmax > r).any():
-        z = bk.zeros(t.shape)
-        return z, z
-    f0, f1 = _uniform_terms(ev, tau, r)
-    pref = tb.u_pref / r
-    q0 = pref * np.sum(tb.u_gauss * f0, axis=-1)
-    q1 = pref * np.sum(tb.u_gauss * f1, axis=-1)
-    return q0, q1
+    sp = bk.sqrt(xp * (xp + 2))
+    sm = bk.sqrt(xm * (xm + 2))
+    shared = -4 * (kh * kh) * t[..., None] / ((r * r)[..., None] * sp * sm)
+    return shared / (sp + sm), shared / ((1 + xp) * sm + (1 + xm) * sp)
 
 
 def form2_uniform_eval(ev, t, r):
-    """Far-field uniform-grid evaluation (t - r > 1.152 H, r > R1)."""
-    q0p, q1p = _uniform_q(ev, t, r, False)
-    q0m, q1m = _uniform_q(ev, t, r, True)
-    return q0p + q0m, q1p - q1m
+    """Far-field uniform-grid evaluation (t - r > 1.152 H, r > R1).
+
+    The tau = -t grid and unpaired +kh nodes need kh > t + r or kh >= t - r,
+    both beyond the largest node M2 h < 1.152 H, so neither is summed.
+    """
+    tb = ev.tables
+    f0, f1 = _uniform_terms(ev, t, r)
+    pref = tb.u_pref / r
+    return (pref * np.sum(tb.u_gauss * f0, axis=-1),
+            pref * np.sum(tb.u_gauss * f1, axis=-1))
 
 
-def uniform_paired_terms(ev, t, r):
-    """Bracket values at one (t, r): (kh nodes, f0 terms, f1 terms)."""
-    bk = ev.backend
-    f0, f1 = _uniform_terms(ev, bk.asarray([t]), bk.asarray([r]))
-    return ev.tables.u_kh, f0[0], f1[0]
+def form2_jacobi_eval(ev, t, r):
+    """Intermediate-band evaluation: the cropped Gauss-Jacobi half-line sum.
 
-
-def _jacobi_q(ev, t, r, negated):
-    """One half-line integral under the Gauss-Jacobi rule at shift tau.
-
-    The substitution xi = b (eta + 1)/2 with crop width b = (tau + H)/r - 1
+    The substitution xi = b (eta + 1)/2 with crop width b = (t + H)/r - 1
     maps to [-1, 1]; the endpoint factor xi^(-1/2) becomes the rule weight
     (1 + eta)^(-1/2) and the remaining branch factor 1/sqrt(eta - c) with
     c = -1 - 4/b stays analytic on the interval.  b <= 0 means the whole
     integrand lies beyond the crop radius and contributes nothing at the
-    working accuracy.
+    working accuracy: near the front ahead, t - r + H <= 0 occurs.  At
+    tau = -t it always holds, as t + r >= 1.05 H, so that half is skipped.
     """
     bk = ev.backend
-    P = ev.params
     tb = ev.tables
-    tau = -t if negated else t
-    # window width tau + H - r built from the small difference d = tau - r;
-    # forming r(1 + xi) - tau directly would round at eps*tau, which at the
+    # window width t + H - r built from the small difference d = t - r;
+    # forming r(1 + xi) - t directly would round at eps*t, which at the
     # grid extremes is two decades above the target accuracy
-    d = tau - r
-    span = d + P.H
+    d = t - r
+    span = d + ev.params.H
     live = as_mask(span > 0)
     if not live.any():
         z = bk.zeros(t.shape)
@@ -313,16 +286,8 @@ def _jacobi_q(ev, t, r, negated):
     g1 = arg / op + 1 / (r[..., None] * (op * op))
     q0 = np.sum(base * arg, axis=-1)
     q1 = np.sum(base * g1, axis=-1)
-    q0 = np.where(live, tb.inv_sqrt_2pi * q0, 0.0)
-    q1 = np.where(live, tb.inv_sqrt_2pi * q1, 0.0)
-    return q0, q1
-
-
-def form2_jacobi_eval(ev, t, r):
-    """Intermediate-band evaluation via cropped Gauss-Jacobi half-line sums."""
-    q0p, q1p = _jacobi_q(ev, t, r, False)
-    q0m, q1m = _jacobi_q(ev, t, r, True)
-    return q0p + q0m, q1p - q1m
+    return (tb.inv_sqrt_2pi * np.where(live, q0, 0),
+            tb.inv_sqrt_2pi * np.where(live, q1, 0))
 
 
 def form3_eval(ev, t, r):

@@ -303,15 +303,16 @@ def in_reference(n, t, dps=60):
         return val
 
 
-def _oracle_map(tt, rr, target_tol, use_form1):
-    """oracle_eval at each point, in order, from up to four processes."""
+def _oracle_map(tt, rr, target_tol):
+    """oracle_eval without the oscillatory route at each point, in order,
+    from up to four processes."""
     with ProcessPoolExecutor(min(4, os.cpu_count() or 1)) as pool:
         yield from pool.map(oracle_eval, tt, rr, [target_tol] * len(tt),
-                            [use_form1] * len(tt), chunksize=8)
+                            [False] * len(tt), chunksize=8)
 
 
 def verify_on_lattice(evaluator, ns, ms, target_tol=None, base=1.01,
-                      use_form1=False, progress=None):
+                      progress=None):
     """Max deviation of the evaluator against the oracle on a power lattice.
 
     Points are (t, r) = (base^n, base^m).  Deviations are measured in
@@ -334,7 +335,7 @@ def verify_on_lattice(evaluator, ns, ms, target_tol=None, base=1.01,
     digits = int(math.ceil(-math.log10(target_tol)))
     dps = digits + 22
     from .dispatch import Region
-    refs = _oracle_map(tt, rr, target_tol, use_form1)
+    refs = _oracle_map(tt, rr, target_tol)
     for i, (tv, rv, ref) in enumerate(zip(tt, rr, refs)):
         est_max = max(est_max, ref.est_err)
         with mpmath.workdps(dps):

@@ -105,14 +105,14 @@ def _pythag(aa, bb, bk):
     return y * bk.sqrt(1 + ratio * ratio)
 
 
-def _imtql2(d, e, z, bk, max_iter=64):
+def _imtql2(d, e, z, bk):
     """Implicit QL with Wilkinson shifts on a symmetric tridiagonal matrix.
 
     d: diagonal, overwritten with eigenvalues.  e: off-diagonal (e[0..n-2]
     used, e[n-1] scratch).  z: vector co-rotated with the similarity
     transforms; seeding it with the first unit vector yields the first
     components of normalized eigenvectors.  Raises RuntimeError if an
-    eigenvalue needs more than max_iter sweeps.
+    eigenvalue needs more than 64 sweeps.
     """
     n = len(d)
     if n == 1:
@@ -132,7 +132,7 @@ def _imtql2(d, e, z, bk, max_iter=64):
             if m_ == l:
                 break
             niter += 1
-            if niter > max_iter:
+            if niter > 64:
                 raise RuntimeError(
                     f"implicit QL failed to converge (n={n}, l={l})")
             g = (d[l + 1] - d[l]) / (2 * e[l])

@@ -20,7 +20,7 @@ from scipy import special as _sp
 
 from .numerics import FLOAT64, lift_elementwise
 
-__all__ = ["bessel_j", "scaled_bessel_i", "scaled_i_pair", "double_factorial"]
+__all__ = ["bessel_j", "scaled_i_pair", "double_factorial"]
 
 
 def bessel_j(order, x, backend=FLOAT64):
@@ -31,17 +31,6 @@ def bessel_j(order, x, backend=FLOAT64):
         with mpmath.workdps(backend.dps + 5):
             return lift_elementwise(lambda v: mpmath.besselj(order, v))(x)
     return _sp.j0(x) if order == 0 else _sp.j1(x)
-
-
-def scaled_bessel_i(order, x, backend=FLOAT64):
-    """e^{-x} I_order(x) for order in {0, 1} and x >= 0, elementwise."""
-    if order not in (0, 1):
-        raise ValueError(f"Bessel I order must be 0 or 1, got {order!r}")
-    if backend.dtype is object:
-        dps = backend.dps
-        return lift_elementwise(
-            lambda v: _mp_scaled_i_pair(v, dps)[order])(x)
-    return _sp.i0e(x) if order == 0 else _sp.i1e(x)
 
 
 def scaled_i_pair(x, backend=FLOAT64):

@@ -5,6 +5,7 @@ import math
 import sys
 import threading
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -257,11 +258,57 @@ def test_classify_codes_follow_decision_list(any_ev, data):
     assert [Region(int(c)) for c in codes] == want
 
 
-def test_label_roundtrip():
-    for reg in Region:
-        assert Region.from_label(reg.label) is reg
-    with pytest.raises(ValueError):
-        Region.from_label("nowhere")
+# t on the axis: a whole range, plus exact zero and SmallT's tiny times
+_AXIS_T = st.floats(0.0, 1e3) | st.floats(0.0, 1e-15)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(t=st.lists(_AXIS_T, min_size=1, max_size=32))
+def test_velocity_vanishes_on_the_axis(ev64, t):
+    # representatives of every region reaching r = 0 ride along each draw
+    t = np.array(t + [1e-17, 2.0, 9.5, 30.0])
+    p, u, codes = ev64.evaluate_arrays(t, np.zeros_like(t))
+    assert {Region.SMALL_T, Region.FORM1_GL, Region.FORM3_GL,
+            Region.SERIES} <= {Region(int(c)) for c in codes}
+    assert np.all(u == 0)
+
+
+def test_velocity_vanishes_on_the_axis_mp():
+    em = PulseEvaluator(2e-16, backend=mp_backend(30))
+    t = [0.0, 1e-17, 2.0, 9.5, 30.0]
+    p, u, codes = em.evaluate_arrays(t, [0.0] * len(t))
+    assert [Region(int(c)) for c in codes] == [
+        Region.SMALL_T, Region.SMALL_T, Region.FORM1_GL, Region.FORM3_GL,
+        Region.SERIES]
+    for v in u:
+        assert isinstance(v, mpmath.mpf) and v == 0
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(r=st.lists(st.floats(0.0, 1e3), min_size=1, max_size=32))
+def test_initial_state_is_the_pulse(ev64, r):
+    r = np.array(r)
+    p, u, _ = ev64.evaluate_arrays(np.zeros_like(r), r)
+    assert np.array_equal(p, np.exp(-(r * r) / 2))
+    assert np.all(u == 0)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(data=st.data())
+def test_2d_input_keeps_shape_and_dtypes(ev64, data):
+    shape = (data.draw(st.integers(1, 5)), data.draw(st.integers(1, 5)))
+    n = shape[0] * shape[1]
+    t = np.array(data.draw(st.lists(st.floats(0.0, 60.0), min_size=n,
+                                    max_size=n))).reshape(shape)
+    r = np.array(data.draw(st.lists(st.floats(0.0, 60.0), min_size=n,
+                                    max_size=n))).reshape(shape)
+    p, u, codes = ev64.evaluate_arrays(t, r)
+    assert p.shape == u.shape == codes.shape == shape
+    assert p.dtype == u.dtype == np.float64
+    assert codes.dtype == np.int8
+    p1, u1, codes1 = ev64.evaluate_arrays(t.ravel(), r.ravel())
+    assert np.array_equal(p.ravel(), p1) and np.array_equal(u.ravel(), u1)
+    assert np.array_equal(codes.ravel(), codes1)
 
 
 def test_module_facade():

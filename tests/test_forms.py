@@ -6,15 +6,15 @@ import mpmath
 import numpy as np
 import pytest
 
-from pulse2d.dispatch import Region
+from pulse2d.dispatch import Region, make_params
 from pulse2d.forms import (
     _two_prod,
+    _uniform_terms,
     form1_eval,
     form2_jacobi_eval,
     form2_uniform_eval,
     form3_eval,
     small_t_eval,
-    uniform_paired_terms,
     zero_eval,
 )
 from pulse2d.numerics import mp_backend
@@ -100,13 +100,35 @@ def test_uniform_terms_match_mp(ev64):
 
     em = PulseEvaluator(2e-16, backend=mp_backend(30))
     t, r = 30.0, 1.0
-    kh, f0, f1 = uniform_paired_terms(ev64, t, r)
-    khm, f0m, f1m = uniform_paired_terms(em, t, r)
+    (f0,), (f1,) = _uniform_terms(ev64, np.array([t]), np.array([r]))
+    bk = em.backend
+    (f0m,), (f1m,) = _uniform_terms(em, bk.asarray([t]), bk.asarray([r]))
+    kh, khm = ev64.tables.u_kh, em.tables.u_kh
     assert np.allclose(kh, [float(v) for v in khm], rtol=0, atol=1e-18)
     for a, b in zip(f0, f0m):
         assert abs(a - float(b)) <= 4 * abs(a) * 2.3e-16 + 1e-300
     for a, b in zip(f1, f1m):
         assert abs(a - float(b)) <= 4 * abs(a) * 2.3e-16 + 1e-300
+
+
+# log sweep of the float64 range, plus the tightest eps found by a 10^5
+# point sweep (margin 0.012 H, where M2 steps from 15 to 16)
+_SWEEP_EPS = [*np.logspace(-300, math.log10(2e-16), 2000),
+              1.0324834142370396e-16]
+
+
+def test_form2_regions_need_no_negative_shift():
+    # form2_uniform_eval and form2_jacobi_eval sum tau = t only.  That is
+    # exact only if every uniform node kh <= M2 h lies below t - r >
+    # thr_diff (else a +kh node loses its -kh partner and, for kh > t + r,
+    # tau = -t nodes enter) and if t + r >= thr_sum puts the tau = -t
+    # half-line beyond the crop radius H.  Nothing checks this at run time.
+    cases = [(e, None) for e in _SWEEP_EPS]
+    cases += [(1e-30, mp_backend(40)), (1e-40, mp_backend(50))]
+    for eps, bk in cases:
+        P = make_params(eps) if bk is None else make_params(eps, bk)
+        assert P.thr_diff > P.M2 * P.h, eps
+        assert P.thr_sum > P.H, eps
 
 
 def test_batch_matches_single(ev64):

@@ -8,7 +8,6 @@ from pulse2d.numerics import FLOAT64, mp_backend
 from pulse2d.specfun import (
     bessel_j,
     double_factorial,
-    scaled_bessel_i,
     scaled_i_pair,
 )
 
@@ -116,13 +115,6 @@ def test_scaled_i_pair_series_asymptotic_seam():
             r1 = mpmath.besseli(1, xv) * mpmath.exp(-xv)
             assert abs(p0[0] - r0) < mpmath.mpf(10) ** -24
             assert abs(p1[0] - r1) < mpmath.mpf(10) ** -24
-
-
-def test_scaled_bessel_i_consistent_with_pair():
-    x = np.array([0.5, 10.0])
-    i0e, i1e = scaled_i_pair(x)
-    assert np.array_equal(scaled_bessel_i(0, x), i0e)
-    assert np.array_equal(scaled_bessel_i(1, x), i1e)
 
 
 def test_scaled_i_pair_rejects_negative_mp():
