@@ -26,6 +26,7 @@ import time
 import numpy as np
 
 from . import __version__
+from .diagnostics import stratified_sample
 from .dispatch import EPS_FLOOR, PulseEvaluator, Region
 from .oracle import OracleError, oracle_eval, verify_on_lattice
 from .quadrature import gauss_jacobi_m12, gauss_legendre
@@ -219,7 +220,7 @@ def _cmd_bench(args, parser) -> int:
     start = time.perf_counter()
     ev = _evaluator(args, parser)
     build_s = time.perf_counter() - start
-    t, r, codes = ev.stratified_sample(args.points, seed=args.seed)
+    t, r, codes = stratified_sample(ev, args.points, seed=args.seed)
     # warm caches and the allocator
     ev.evaluate_arrays(t[:256], r[:256])
     start = time.perf_counter()

@@ -19,6 +19,9 @@ crop radius H = sqrt(-2 ln(eps/2)):
 Node counts: M2 = ceil(0.2 H^2) uniform pairs, M3 = ceil(0.71 H^2) + 1
 Gauss nodes, M = floor(H^2) series terms.  Work per point is O(H^2)
 = O(ln(1/eps)); no iteration, no adaptivity.
+
+This module only evaluates; the checks on its results (a-priori bounds,
+the stratified sampler, the energy integral) live in ``diagnostics``.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from .numerics import FLOAT64, MPBackend, as_mask
 
 __all__ = ["Region", "PrecisionParams", "PulseSolution", "PulseEvaluator",
            "make_params", "evaluate", "evaluate_batch", "classify",
-           "energy_integral", "EPS_FLOOR"]
+           "EPS_FLOOR"]
 
 # smallest eps honoured in double precision; coarser requests are clamped
 EPS_FLOOR = 2e-16
@@ -89,14 +92,12 @@ class PrecisionParams:
     eps: object
     clamped: bool
     H: object
-    H2: object
     R1: object
     R2: object
     M2: int
     M3: int
     M: int
     h: object
-    L: object
     thr_sum: object      # 1.05 H
     thr_diff: object     # 1.152 H
     thr_series: object   # 1.31 H
@@ -130,17 +131,16 @@ def make_params(eps, backend=FLOAT64) -> PrecisionParams:
     with bk.workprec():
         e = bk.scalar(eps_f)
         one = bk.scalar(1)
-        H2 = -2 * bk.log(e / 2)
-        H = bk.sqrt(H2)
+        H_sq = -2 * bk.log(e / 2)
+        H = bk.sqrt(H_sq)
         R1 = (bk.scalar(7.5) * e) ** (one / 6)
         R2 = 5 * e ** (one / 10)
-        M2 = bk.ceil_int(bk.scalar(0.2) * H2)
-        M3 = bk.ceil_int(bk.scalar(0.71) * H2) + 1
-        M = bk.floor_int(H2)
-        uniform = quadrature.uniform_rule(M2, bk)
+        M2 = bk.ceil_int(bk.scalar(0.2) * H_sq)
+        M3 = bk.ceil_int(bk.scalar(0.71) * H_sq) + 1
+        M = bk.floor_int(H_sq)
         return PrecisionParams(
-            eps=e, clamped=clamped, H=H, H2=H2, R1=R1, R2=R2,
-            M2=M2, M3=M3, M=M, h=uniform.h, L=uniform.L,
+            eps=e, clamped=clamped, H=H, R1=R1, R2=R2,
+            M2=M2, M3=M3, M=M, h=quadrature.uniform_step(M2, bk),
             thr_sum=bk.scalar(1.05) * H,
             thr_diff=bk.scalar(1.152) * H,
             thr_series=bk.scalar(1.31) * H)
@@ -271,74 +271,6 @@ class PulseEvaluator:
         finally:
             forms._count.n = None
 
-    def stratified_sample(self, n_points: int, seed: int = 20260819):
-        """Random points covering every region tag about equally.
-
-        Returns (t, r, codes) float arrays in shuffled order; double
-        backend only.  Used by the benchmark command and throughput tests.
-        """
-        if self.backend.dtype is object:
-            raise ValueError("sampling is a double-precision utility")
-        P = self.params
-        eps = float(P.eps)
-        th_sum = float(P.thr_sum)
-        th_diff = float(P.thr_diff)
-        th_ser = float(P.thr_series)
-        r1 = float(P.R1)
-        r2 = float(P.R2)
-        rng = np.random.default_rng(seed)
-        order = [Region.ZERO, Region.SMALL_T, Region.FORM1_GL, Region.SERIES,
-                 Region.FORM2_UNIFORM, Region.FORM2_JACOBI, Region.FORM3_GL]
-        base = n_points // len(order)
-        counts = [base + (1 if i < n_points % len(order) else 0)
-                  for i in range(len(order))]
-        ts, rs = [], []
-        for reg, k in zip(order, counts):
-            if k == 0:
-                continue
-            if reg is Region.ZERO:
-                t = rng.uniform(0.001, 50.0, k)
-                r = t + th_sum + rng.uniform(0.05, 30.0, k)
-            elif reg is Region.SMALL_T:
-                t = rng.uniform(0.0, eps, k) * 0.999
-                r = rng.uniform(0.0, 10.0, k)
-            elif reg is Region.FORM1_GL:
-                u = rng.uniform(0.2, th_sum - 0.01, k)
-                t = np.maximum(u * rng.uniform(0.02, 0.98, k), 4 * eps)
-                r = u - t
-            elif reg is Region.SERIES:
-                t = th_ser + rng.uniform(0.0, 80.0, k)
-                r = rng.uniform(0.0, r1 * 0.999, k)
-            elif reg is Region.FORM2_UNIFORM:
-                r = np.exp(rng.uniform(math.log(r1 * 1.05), math.log(60.0), k))
-                t = r + th_diff + rng.uniform(0.01, 40.0, k)
-            elif reg is Region.FORM2_JACOBI:
-                r = rng.uniform(r2 * 1.01, 40.0, k)
-                lo = np.maximum(np.maximum(2 * eps, r - th_sum + 1e-6),
-                                th_sum - r + 1e-6)
-                hi = r + th_diff - 1e-6
-                t = lo + (hi - lo) * rng.uniform(0.0, 1.0, k)
-            else:
-                r = rng.uniform(0.0, r2 * 0.99, k)
-                lo = th_sum - r + 1e-9
-                hi = th_diff + r - 1e-9
-                t = lo + (hi - lo) * rng.uniform(0.0, 1.0, k)
-            ts.append(t)
-            rs.append(r)
-        t = np.concatenate(ts)
-        r = np.concatenate(rs)
-        codes = self.classify_codes(t, r)
-        want = np.concatenate([np.full(k, int(reg), dtype=np.int8)
-                               for reg, k in zip(order, counts) if k])
-        if not np.array_equal(codes, want):
-            bad = int(np.nonzero(codes != want)[0][0])
-            raise RuntimeError(
-                f"sampler landed outside its region at t={t[bad]}, r={r[bad]}: "
-                f"wanted {Region(int(want[bad])).label}, "
-                f"got {Region(int(codes[bad])).label}")
-        perm = rng.permutation(t.size)
-        return t[perm], r[perm], codes[perm]
-
 
 def _pyscalar(v):
     return float(v) if isinstance(v, (np.floating, float)) else v
@@ -348,11 +280,13 @@ _default_cache: dict[float, PulseEvaluator] = {}
 
 
 def _default_evaluator(eps: float) -> PulseEvaluator:
+    # every accepted double-precision eps resolves to EPS_FLOOR; any other
+    # key (nan, inf, eps <= 0 or below the floor) raises in the constructor
     key = float(eps)
+    if EPS_FLOOR < key < math.inf:
+        key = EPS_FLOOR
     ev = _default_cache.get(key)
     if ev is None:
-        if len(_default_cache) > 32:
-            _default_cache.clear()
         ev = _default_cache[key] = PulseEvaluator(eps=key)
     return ev
 
@@ -368,24 +302,3 @@ def evaluate_batch(points, eps: float = EPS_FLOOR) -> list[PulseSolution]:
 
 def classify(t, r, eps: float = EPS_FLOOR) -> Region:
     return _default_evaluator(eps).classify(t, r)
-
-
-def energy_integral(ev: PulseEvaluator, t: float) -> float:
-    """pi * integral of (p^2 + u_r^2) r dr over [0, t + 1.5 H].
-
-    The exact acoustic energy is pi/2 at every t.  Composite 4-node
-    Gauss-Legendre over uniform panels; t + 1.5 H covers everything above
-    the eps floor.
-    """
-    panels = 10000
-    r_max = float(t) + 1.5 * float(ev.params.H)
-    rule = quadrature.gauss_legendre(4, ev.backend)
-    edges = np.linspace(0.0, r_max, panels + 1)
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    hw = 0.5 * (edges[1] - edges[0])
-    rr = (mid[:, None] + hw * np.asarray(rule.nodes)[None, :]).ravel()
-    tt = np.full_like(rr, float(t))
-    p, u, _ = ev.evaluate_arrays(tt, rr)
-    integrand = (p * p + u * u) * rr
-    w = np.broadcast_to(np.asarray(rule.weights), (panels, rule.m)).ravel()
-    return math.pi * hw * float(np.sum(w * integrand))

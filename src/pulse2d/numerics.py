@@ -19,28 +19,13 @@ from contextlib import nullcontext
 import mpmath
 import numpy as np
 
-__all__ = ["Float64Backend", "MPBackend", "FLOAT64", "mp_backend",
-           "lift_elementwise"]
+__all__ = ["Float64Backend", "MPBackend", "FLOAT64", "mp_backend"]
 
 
 def as_mask(x):
     """Boolean numpy array from a comparison on either backend's arrays
     (mpmath comparisons come back as object arrays)."""
     return np.asarray(x, dtype=bool)
-
-
-def lift_elementwise(fn):
-    """Lift a scalar function over numpy object arrays (scalars pass through)."""
-
-    def lifted(x):
-        if isinstance(x, np.ndarray):
-            flat = [fn(v) for v in x.ravel()]
-            out = np.empty(len(flat), dtype=object)
-            out[:] = flat
-            return out.reshape(x.shape)
-        return fn(x)
-
-    return lifted
 
 
 class Float64Backend:
@@ -106,12 +91,12 @@ class MPBackend:
         self.sin = self._wrap(mpmath.sin)
 
     def _wrap(self, fn):
-        lifted = lift_elementwise(fn)
+        elementwise = np.frompyfunc(fn, 1, 1)
         dps = self.dps
 
         def call(x):
             with mpmath.workdps(dps):
-                return lifted(x)
+                return elementwise(x)
 
         return call
 

@@ -1,4 +1,4 @@
-"""Gauss rules by Golub-Welsch and Newton refinement, plus the
+"""Gauss rules by Golub-Welsch and Newton refinement, plus the step of the
 half-integer-offset uniform grid.
 
 Float64 rules come from the symmetric tridiagonal Jacobi matrix of the
@@ -16,7 +16,7 @@ O(m^2) integer operations per step and three or four steps, where the QL
 takes O(m^2) mpf rotations.  The QL solver stays generic over
 the backend and is the reference the tests compare the refined rules with.
 
-Rules are deterministic, cached per (backend, kind, m), and marked
+Gauss rules are deterministic, cached per (backend, kind, m), and marked
 read-only after construction.
 """
 
@@ -30,9 +30,8 @@ import numpy as np
 
 from .numerics import FLOAT64
 
-__all__ = ["GaussRule", "UniformRule", "KIND_LEGENDRE", "KIND_JACOBI",
-           "gauss_legendre", "gauss_jacobi_m12", "uniform_rule",
-           "rule_cache_get"]
+__all__ = ["GaussRule", "KIND_LEGENDRE", "KIND_JACOBI", "gauss_legendre",
+           "gauss_jacobi_m12", "uniform_step", "rule_cache_get"]
 
 KIND_LEGENDRE = "legendre"
 KIND_JACOBI = "jacobi_0_m12"    # weight (1+x)^(-1/2) on (-1, 1)
@@ -52,16 +51,6 @@ class GaussRule:
     nodes: np.ndarray
     weights: np.ndarray
     mu0: object         # integral of the weight function
-
-
-@dataclass(frozen=True)
-class UniformRule:
-    """Trapezoid grid data: callers derive their nodes kh from the step;
-    h = sqrt(2 pi / (m2 + 1/2)) balances the two error terms and
-    L = (m2 + 1/2) h marks the crop point."""
-    m2: int
-    h: object
-    L: object
 
 
 def _recurrence(kind, m, bk):
@@ -276,11 +265,14 @@ def gauss_jacobi_m12(m, backend=FLOAT64) -> GaussRule:
     return rule_cache_get(KIND_JACOBI, m, backend)
 
 
-def uniform_rule(m2, backend=FLOAT64) -> UniformRule:
+def uniform_step(m2, backend=FLOAT64):
+    """Step h = sqrt(2 pi / (m2 + 1/2)) of the trapezoid grid kh, |k| <= m2.
+
+    It balances the crop error beyond L = (m2 + 1/2) h against the
+    aliasing error; callers derive their nodes kh from it.
+    """
     if not isinstance(m2, (int, np.integer)) or m2 < 1:
         raise ValueError("uniform rule needs a positive integer node count")
     with backend.workprec():
         half = backend.scalar(1) / 2
-        h = backend.sqrt(2 * backend.pi / (int(m2) + half))
-        L = h * (int(m2) + half)
-    return UniformRule(m2=int(m2), h=h, L=L)
+        return backend.sqrt(2 * backend.pi / (int(m2) + half))

@@ -6,8 +6,8 @@ has a divergent-but-truncated large-t expansion
 
     s_n = sum_{l = ceil(n/2)}^{lmax}  (2l-1)!! / t^(2l-n+1),   lmax = (M-1)//2
 
-entering with an alternating sign pattern: Re I_n for odd n carries
-(-1)^((n-1)/2 + 1), Im I_n for even n carries (-1)^(n/2).  The truncation
+entering with the sign (-1)^ceil(n/2): asymptotic_In gives Re I_n for odd
+n and Im I_n for even n, the component the series carries.  The truncation
 index M = floor(H^2) ties the remainder to the working tolerance.
 
 All seven sums share one backward recurrence in x = 1/t^2,
@@ -27,8 +27,7 @@ import math
 
 from .numerics import FLOAT64
 
-__all__ = ["asymptotic_In_real_part", "asymptotic_In_imag_part",
-           "asymptotic_remainder_bound", "series_eval"]
+__all__ = ["asymptotic_In", "asymptotic_remainder_bound", "series_eval"]
 
 
 def _tail_sums(t, params):
@@ -45,28 +44,11 @@ def _tail_sums(t, params):
             3 * n_k[2] / t, 15 * n_k[3] / t2, 15 * n_k[3] / t)
 
 
-def asymptotic_In_real_part(n, t, params, backend=FLOAT64, early_stop=True):
-    """Re I_n(t) for odd n in {1, 3, 5}; scalar t.
-
-    ``early_stop`` is accepted for compatibility and has no effect: the
-    full truncated sum costs one recurrence pass.
-    """
-    if n not in (1, 3, 5):
-        raise ValueError(f"real parts are available for n in {{1,3,5}}, got {n}")
-    sign = -1 if ((n - 1) // 2) % 2 == 0 else 1
-    with backend.workprec():
-        s = _tail_sums(backend.asarray([t]), params)[n]
-        return sign * s[0]
-
-
-def asymptotic_In_imag_part(n, t, params, backend=FLOAT64, early_stop=True):
-    """Im I_n(t) for even n in {0, 2, 4, 6}; scalar t.
-
-    ``early_stop`` has no effect, as for ``asymptotic_In_real_part``.
-    """
-    if n not in (0, 2, 4, 6):
-        raise ValueError(f"imag parts are available for even n <= 6, got {n}")
-    sign = 1 if (n // 2) % 2 == 0 else -1
+def asymptotic_In(n, t, params, backend=FLOAT64):
+    """Re I_n(t) for odd n, Im I_n(t) for even n, n in 0..6; scalar t."""
+    if n not in range(7):
+        raise ValueError(f"I_n is available for n in 0..6, got {n!r}")
+    sign = (-1) ** ((n + 1) // 2)
     with backend.workprec():
         s = _tail_sums(backend.asarray([t]), params)[n]
         return sign * s[0]

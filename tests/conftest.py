@@ -1,4 +1,3 @@
-import numpy as np
 import pytest
 
 from pulse2d.dispatch import PulseEvaluator
@@ -13,10 +12,3 @@ def ev64():
 @pytest.fixture(scope="session")
 def params64(ev64):
     return ev64.params
-
-
-def assert_all_close(a, b, tol):
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    d = np.max(np.abs(a - b)) if a.size else 0.0
-    assert d <= tol, f"max deviation {d:.3e} > {tol:.3e}"

@@ -16,9 +16,9 @@ import mpmath
 import numpy as np
 import pytest
 
-from pulse2d.bounds import GaussBoundInput, TrapezoidBoundInput, \
-    gauss_bound, trapezoid_bound
-from pulse2d.dispatch import PulseEvaluator, Region, energy_integral
+from pulse2d.diagnostics import energy_integral, gauss_bound, \
+    stratified_sample, trapezoid_bound
+from pulse2d.dispatch import PulseEvaluator, Region
 from pulse2d.forms import (
     form1_eval,
     form2_jacobi_eval,
@@ -28,9 +28,9 @@ from pulse2d.forms import (
 )
 from pulse2d.numerics import mp_backend
 from pulse2d.oracle import in_reference, verify_on_lattice
-from pulse2d.quadrature import gauss_jacobi_m12, gauss_legendre, uniform_rule
-from pulse2d.series import asymptotic_In_imag_part, asymptotic_In_real_part, \
-    asymptotic_remainder_bound, series_eval
+from pulse2d.quadrature import gauss_jacobi_m12, gauss_legendre, uniform_step
+from pulse2d.series import asymptotic_In, asymptotic_remainder_bound, \
+    series_eval
 
 
 def _report(num, name, ok, detail):
@@ -152,14 +152,9 @@ def test_c5_series_remainder(params64):
     worst_dev = 0.0
     for t in (float(params64.thr_series), 2.0 * H, 10.0 * H):
         for n in range(7):
-            if n % 2:
-                v = asymptotic_In_real_part(n, t, params64, backend=bk,
-                                            early_stop=False)
-                ref = in_reference(n, t, dps=110).real
-            else:
-                v = asymptotic_In_imag_part(n, t, params64, backend=bk,
-                                            early_stop=False)
-                ref = in_reference(n, t, dps=110).imag
+            v = asymptotic_In(n, t, params64, backend=bk)
+            ref = in_reference(n, t, dps=110)
+            ref = ref.real if n % 2 else ref.imag
             dev = abs(float(v - ref))
             bound = asymptotic_remainder_bound(n, t, params64)
             worst_dev = max(worst_dev, dev)
@@ -227,8 +222,7 @@ def test_c7_bound_certification():
 
         # f = 1 and f = cos 3x on the production step law
         for m2 in (6, 10, 15):
-            ur = uniform_rule(m2)
-            h = mpmath.mpf(ur.h)
+            h = mpmath.mpf(uniform_step(m2))
             L = (m2 + mpmath.mpf(1) / 2) * h
             b = 2 * mpmath.pi / h
             cases = [
@@ -240,9 +234,9 @@ def test_c7_bound_certification():
             ]
             for f, exact, f0, f1 in cases:
                 err = abs(float(grid(f, h, m2) - exact))
-                bound = trapezoid_bound(TrapezoidBoundInput(
+                bound = trapezoid_bound(
                     h=float(h), n=m2, f0_bound=f0, f1_bound=f1,
-                    tail_bound=gauss_tail(f, L)))
+                    tail_bound=gauss_tail(f, L))
                 worst = max(worst, err / bound)
                 checked += 1
 
@@ -258,10 +252,10 @@ def test_c7_bound_certification():
             L = (n + mpmath.mpf(1) / 2) * h
             b = float(2 * mpmath.pi / h)
             err = abs(float(grid(pole, h, n) - exact))
-            bound = trapezoid_bound(TrapezoidBoundInput(
+            bound = trapezoid_bound(
                 h=h_f, n=n, f0_bound=1.0 / (9.0 - b * b),
                 f1_bound=1.0 / (float(L) ** 2 - b * b + 9.0),
-                tail_bound=gauss_tail(pole, L)))
+                tail_bound=gauss_tail(pole, L))
             worst = max(worst, err / bound)
             checked += 1
 
@@ -274,7 +268,7 @@ def test_c7_bound_certification():
             q = mpmath.fsum(w * mpmath.exp(-x)
                             for x, w in zip(gl.nodes, gl.weights))
             err = abs(float(q - exact))
-            bound = gauss_bound(GaussBoundInput(m=m, mu0=2.0, fmax=fmax))
+            bound = gauss_bound(m=m, mu0=2.0, fmax=fmax)
             worst = max(worst, err / bound)
             checked += 1
 
@@ -284,7 +278,7 @@ def test_c7_bound_certification():
 
 
 def test_c8_throughput(ev64):
-    t, r, _ = ev64.stratified_sample(200000)
+    t, r, _ = stratified_sample(ev64, 200000)
     ev64.evaluate_arrays(t[:4096], r[:4096])
     start = time.perf_counter()
     ev64.evaluate_arrays(t, r)

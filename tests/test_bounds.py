@@ -6,14 +6,8 @@ import mpmath
 import numpy as np
 import pytest
 
-from pulse2d.bounds import (
-    RHO,
-    GaussBoundInput,
-    TrapezoidBoundInput,
-    gauss_bound,
-    trapezoid_bound,
-)
-from pulse2d.quadrature import gauss_legendre, uniform_rule
+from pulse2d.diagnostics import RHO, gauss_bound, trapezoid_bound
+from pulse2d.quadrature import gauss_legendre, uniform_step
 
 
 def test_rho_constant():
@@ -21,13 +15,13 @@ def test_rho_constant():
 
 
 def test_trapezoid_bound_formula():
-    inp = TrapezoidBoundInput(h=0.5, n=10, f0_bound=2.0, f1_bound=3.0,
-                              tail_bound=1e-20)
     L = 10.5 * 0.5
     expect = (1e-20
               + (4.0 * 0.5 / math.pi) * math.exp(-L * L / 2) * 3.0
               + 5.2 * math.exp(-2 * math.pi ** 2 / 0.25) * 2.0)
-    assert trapezoid_bound(inp) == pytest.approx(expect, rel=1e-15)
+    got = trapezoid_bound(h=0.5, n=10, f0_bound=2.0, f1_bound=3.0,
+                          tail_bound=1e-20)
+    assert got == pytest.approx(expect, rel=1e-15)
 
 
 @pytest.mark.parametrize("kw", [
@@ -38,22 +32,21 @@ def test_trapezoid_bound_formula():
 ])
 def test_trapezoid_bound_validation(kw):
     with pytest.raises(ValueError):
-        trapezoid_bound(TrapezoidBoundInput(**kw))
+        trapezoid_bound(**kw)
 
 
 def test_gauss_bound_formula_no_branch():
-    inp = GaussBoundInput(m=6, mu0=2.0, fmax=5.0)
     expect = 4.0 * 2.0 * 5.0 * RHO ** (-12) * RHO / (RHO - 1.0)
-    assert gauss_bound(inp) == pytest.approx(expect, rel=1e-15)
+    got = gauss_bound(m=6, mu0=2.0, fmax=5.0)
+    assert got == pytest.approx(expect, rel=1e-15)
 
 
 def test_gauss_bound_branch_term_adds():
-    base = gauss_bound(GaussBoundInput(m=4, mu0=2.0, fmax=1.0))
-    with_branch = gauss_bound(
-        GaussBoundInput(m=4, mu0=2.0, fmax=1.0, c=1.2, g_c=1.0))
+    base = gauss_bound(m=4, mu0=2.0, fmax=1.0)
+    with_branch = gauss_bound(m=4, mu0=2.0, fmax=1.0, c=1.2, g_c=1.0)
     assert with_branch > base
     # branch point outside the ellipse contributes nothing
-    far = gauss_bound(GaussBoundInput(m=4, mu0=2.0, fmax=1.0, c=3.0, g_c=1.0))
+    far = gauss_bound(m=4, mu0=2.0, fmax=1.0, c=3.0, g_c=1.0)
     assert far == base
 
 
@@ -65,11 +58,11 @@ def test_gauss_bound_branch_term_adds():
 ])
 def test_gauss_bound_validation(kw):
     with pytest.raises(ValueError):
-        gauss_bound(GaussBoundInput(**kw))
+        gauss_bound(**kw)
 
 
 def test_gauss_bound_large_m_no_overflow():
-    v = gauss_bound(GaussBoundInput(m=4000, mu0=2.0, fmax=1.0, c=1.3, g_c=2.0))
+    v = gauss_bound(m=4000, mu0=2.0, fmax=1.0, c=1.3, g_c=2.0)
     assert v == 0.0 or v > 0.0
     assert math.isfinite(v)
 
@@ -79,16 +72,17 @@ def test_trapezoid_bound_certifies_gaussian_grid():
     # far below double roundoff at the larger m2, so the empirical sum runs
     # in mpmath
     for m2 in (6, 10, 15):
-        ur = uniform_rule(m2)
+        h_f = uniform_step(m2)
         with mpmath.workdps(40):
-            h = mpmath.mpf(ur.h)
+            h = mpmath.mpf(h_f)
             q = h * mpmath.fsum(
                 mpmath.exp(-((k * h) ** 2) / 2) for k in range(-m2, m2 + 1))
             err = float(abs(q - mpmath.sqrt(2 * mpmath.pi)))
+            L = (m2 + 0.5) * h_f
             tail = 2.0 * float(mpmath.quad(
-                lambda x: mpmath.exp(-x * x / 2), [ur.L, mpmath.inf]))
-        bound = trapezoid_bound(TrapezoidBoundInput(
-            h=ur.h, n=m2, f0_bound=1.0, f1_bound=1.0, tail_bound=tail))
+                lambda x: mpmath.exp(-x * x / 2), [L, mpmath.inf]))
+        bound = trapezoid_bound(h=h_f, n=m2, f0_bound=1.0, f1_bound=1.0,
+                                tail_bound=tail)
         assert err <= bound
 
 
@@ -100,5 +94,5 @@ def test_gauss_bound_certifies_exp():
         gl = gauss_legendre(m)
         q = float(np.sum(gl.weights * np.exp(-gl.nodes)))
         err = abs(q - ref)
-        bound = gauss_bound(GaussBoundInput(m=m, mu0=2.0, fmax=fmax))
+        bound = gauss_bound(m=m, mu0=2.0, fmax=fmax)
         assert err <= bound

@@ -13,13 +13,8 @@ from hypothesis import strategies as st
 
 import pulse2d
 from pulse2d import dispatch
-from pulse2d.dispatch import (
-    EPS_FLOOR,
-    PulseEvaluator,
-    Region,
-    energy_integral,
-    make_params,
-)
+from pulse2d.diagnostics import energy_integral, stratified_sample
+from pulse2d.dispatch import EPS_FLOOR, PulseEvaluator, Region, make_params
 from pulse2d.numerics import mp_backend
 
 # representative interior point of each region at eps = 2e-16
@@ -48,13 +43,11 @@ KERNELS = {
 def test_params_frozen_floor(params64):
     P = params64
     assert P.eps == 2e-16 and not P.clamped
-    assert abs(P.H2 - 73.68272297580947) < 1e-13
     assert abs(P.H - 8.583864105157389) < 1e-14
     assert abs(P.R1 - 0.0033833625914958224) < 1e-17
     assert abs(P.R2 - 0.13460866090984777) < 1e-16
     assert (P.M2, P.M3, P.M) == (15, 54, 73)
     assert abs(P.h - 0.6366842184408109) < 1e-15
-    assert abs(P.L - 9.86860538583257) < 1e-13
     assert abs(P.thr_sum - 1.05 * P.H) < 1e-14
     assert abs(P.thr_diff - 1.152 * P.H) < 1e-14
     assert abs(P.thr_series - 1.31 * P.H) < 1e-14
@@ -109,19 +102,19 @@ def test_classify_boundary_nudges(ev64):
 
 
 def test_classify_codes_match_scalar(ev64):
-    t, r, codes = ev64.stratified_sample(700)
+    t, r, codes = stratified_sample(ev64, 700)
     for i in range(0, 700, 97):
         assert ev64.classify(t[i], r[i]) is Region(int(codes[i]))
 
 
 def test_stratified_sample_deterministic(ev64):
-    t1, r1, c1 = ev64.stratified_sample(500)
-    t2, r2, c2 = ev64.stratified_sample(500)
+    t1, r1, c1 = stratified_sample(ev64, 500)
+    t2, r2, c2 = stratified_sample(ev64, 500)
     assert np.array_equal(t1, t2)
     assert np.array_equal(r1, r2)
     assert np.array_equal(c1, c2)
     assert set(np.unique(c1)) == {int(reg) for reg in Region}
-    t3, _, _ = ev64.stratified_sample(500, seed=1)
+    t3, _, _ = stratified_sample(ev64, 500, seed=1)
     assert not np.array_equal(t1, t3)
 
 
@@ -320,6 +313,19 @@ def test_module_facade():
     assert pulse2d.classify(9.0, 5.0) is Region.FORM2_JACOBI
 
 
+def test_module_facade_shares_one_evaluator_per_resolved_eps():
+    # every accepted eps resolves to the floor, so one evaluator serves all
+    for eps in (1e-3, 1e-4, 1e-6, 2e-16):
+        assert pulse2d.evaluate(2.0, 1.0, eps=eps).eps_used == EPS_FLOOR
+    shared = dispatch._default_evaluator(EPS_FLOOR)
+    assert all(dispatch._default_evaluator(eps) is shared
+               for eps in (1e-3, 1e-4, 1e-6, 2e-16))
+    assert list(dispatch._default_cache) == [EPS_FLOOR]
+    for bad in (float("inf"), float("nan"), 0.0, -1e-3, 1e-20):
+        with pytest.raises(ValueError):
+            pulse2d.evaluate(2.0, 1.0, eps=bad)
+
+
 def test_energy_at_t1(ev64):
     e = energy_integral(ev64, 1.0)
     assert abs(e - math.pi / 2) < 1e-10
@@ -374,11 +380,42 @@ def test_mp_backend_with_digit_margin_accepted(eps, digits):
 
 
 @pytest.fixture(scope="module")
+def composition_pool(ev64):
+    return stratified_sample(ev64, 1400, seed=23)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(data=st.data())
+def test_batch_composition_is_bit_identical(ev64, composition_pool, data):
+    # stratified points plus seam points: the whole batch, a permutation of
+    # it cut into sub-batches, and single points must all agree bit for bit
+    seams = data.draw(st.lists(_seam_point(ev64.params), max_size=24))
+    t = np.concatenate([composition_pool[0], [q[0] for q in seams]])
+    r = np.concatenate([composition_pool[1], [q[1] for q in seams]])
+    p, u, codes = ev64.evaluate_arrays(t, r)
+    perm = np.random.default_rng(
+        data.draw(st.integers(0, 2 ** 32 - 1))).permutation(t.size)
+    cuts = sorted(data.draw(st.lists(st.integers(1, t.size - 1),
+                                     max_size=6)))
+    for part in np.split(perm, cuts):
+        if part.size == 0:
+            continue
+        pp, uu, cc = ev64.evaluate_arrays(t[part], r[part])
+        assert np.array_equal(pp, p[part]) and np.array_equal(uu, u[part])
+        assert np.array_equal(cc, codes[part])
+    for i in data.draw(st.lists(st.integers(0, t.size - 1), min_size=1,
+                                max_size=3)):
+        sol = ev64.evaluate(t[i], r[i])
+        assert sol.p == p[i] and sol.ur == u[i]
+        assert sol.region is Region(int(codes[i]))
+
+
+@pytest.fixture(scope="module")
 def block_batch(ev64):
     # every region more than twice as large as its block at the default
     # budget: the widest block is one row per element (SmallT, Series)
     per_region = 2 * dispatch._BLOCK_ELEMS + 5
-    return ev64.stratified_sample(7 * per_region, seed=11)
+    return stratified_sample(ev64, 7 * per_region, seed=11)
 
 
 @pytest.mark.parametrize("budget", [None, 300])

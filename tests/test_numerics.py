@@ -1,24 +1,28 @@
-"""Backend layer: lifting, conversions, precision contexts."""
+"""Backend layer: elementwise functions, conversions, precision contexts."""
 
 import mpmath
 import numpy as np
 import pytest
 
-from pulse2d.numerics import FLOAT64, MPBackend, lift_elementwise, mp_backend
+from pulse2d.numerics import FLOAT64, MPBackend, mp_backend
 
 
-def test_lift_elementwise_scalar_passthrough():
-    f = lift_elementwise(lambda v: v * 2)
-    assert f(3) == 6
+def test_mp_function_on_a_scalar_returns_a_scalar():
+    bk = mp_backend(25)
+    y = bk.exp(bk.scalar(1))
+    assert isinstance(y, mpmath.mpf)
+    with mpmath.workdps(25):
+        assert y == mpmath.e
 
 
-def test_lift_elementwise_preserves_shape():
-    f = lift_elementwise(lambda v: v + 1)
-    x = np.arange(6, dtype=object).reshape(2, 3)
-    y = f(x)
+def test_mp_function_preserves_shape():
+    bk = mp_backend(25)
+    x = bk.asarray(np.arange(6).reshape(2, 3))
+    y = bk.exp(x)
     assert y.shape == (2, 3)
     assert y.dtype == object
-    assert y[1, 2] == 6
+    with mpmath.workdps(25):
+        assert y[1, 2] == mpmath.exp(5)
 
 
 def test_float64_backend_basics():

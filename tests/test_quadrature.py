@@ -20,7 +20,7 @@ from pulse2d.quadrature import (
     gauss_jacobi_m12,
     gauss_legendre,
     rule_cache_get,
-    uniform_rule,
+    uniform_step,
 )
 
 SQRT2 = math.sqrt(2.0)
@@ -84,12 +84,8 @@ def test_jacobi_moment_exactness(m, k):
     assert abs(q - ref) < 1e-13 * max(1.0, abs(ref))
 
 
-def test_uniform_rule_frozen_step():
-    ur = uniform_rule(15)
-    assert ur.m2 == 15
-    assert abs(ur.h - 0.6366842184408109) < 1e-16
-    assert abs(ur.L - 9.86860538583257) < 2e-15
-    assert abs(ur.L - (15 + 0.5) * ur.h) < 1e-14
+def test_uniform_step_frozen():
+    assert abs(uniform_step(15) - 0.6366842184408109) < 1e-16
 
 
 def test_cache_identity_and_readonly():
@@ -108,9 +104,9 @@ def test_rule_validation(bad):
         rule_cache_get(KIND_LEGENDRE, bad)
 
 
-def test_uniform_rule_validation():
+def test_uniform_step_validation():
     with pytest.raises(ValueError):
-        uniform_rule(0)
+        uniform_step(0)
 
 
 def test_unknown_kind_rejected():

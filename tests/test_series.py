@@ -10,12 +10,8 @@ from pulse2d.dispatch import Region
 from pulse2d.numerics import mp_backend
 from pulse2d.oracle import in_reference
 from pulse2d.specfun import double_factorial
-from pulse2d.series import (
-    asymptotic_In_imag_part,
-    asymptotic_In_real_part,
-    asymptotic_remainder_bound,
-    series_eval,
-)
+from pulse2d.series import asymptotic_In, asymptotic_remainder_bound, \
+    series_eval
 
 # matching real component of I_n(100), frozen from the dual-route reference
 IN_100 = {
@@ -31,7 +27,7 @@ IN_100 = {
 
 @pytest.mark.parametrize("n", [1, 3, 5])
 def test_real_part_signs_and_values(params64, n):
-    v = asymptotic_In_real_part(n, 100.0, params64)
+    v = asymptotic_In(n, 100.0, params64)
     ref = IN_100[n]
     assert math.copysign(1.0, v) == math.copysign(1.0, ref)
     assert abs(v - ref) < 1e-16 * max(1.0, abs(ref))
@@ -39,19 +35,17 @@ def test_real_part_signs_and_values(params64, n):
 
 @pytest.mark.parametrize("n", [0, 2, 4, 6])
 def test_imag_part_signs_and_values(params64, n):
-    v = asymptotic_In_imag_part(n, 100.0, params64)
+    v = asymptotic_In(n, 100.0, params64)
     ref = IN_100[n]
     assert math.copysign(1.0, v) == math.copysign(1.0, ref)
     assert abs(v - ref) < 1e-16 * max(1.0, abs(ref))
 
 
-def test_parity_rejected(params64):
+def test_n_out_of_range_rejected(params64):
     with pytest.raises(ValueError):
-        asymptotic_In_real_part(2, 100.0, params64)
+        asymptotic_In(-1, 100.0, params64)
     with pytest.raises(ValueError):
-        asymptotic_In_imag_part(3, 100.0, params64)
-    with pytest.raises(ValueError):
-        asymptotic_In_real_part(7, 100.0, params64)
+        asymptotic_In(7, 100.0, params64)
 
 
 def test_full_sum_within_remainder_bound(params64):
@@ -60,43 +54,27 @@ def test_full_sum_within_remainder_bound(params64):
     bk = mp_backend(60)
     t = 15.0
     for n in (0, 1, 4, 6):
-        if n % 2:
-            v = asymptotic_In_real_part(n, t, params64, backend=bk,
-                                        early_stop=False)
-            ref = in_reference(n, t, dps=80).real
-        else:
-            v = asymptotic_In_imag_part(n, t, params64, backend=bk,
-                                        early_stop=False)
-            ref = in_reference(n, t, dps=80).imag
+        v = asymptotic_In(n, t, params64, backend=bk)
+        ref = in_reference(n, t, dps=80)
+        ref = ref.real if n % 2 else ref.imag
         bound = asymptotic_remainder_bound(n, t, params64)
         # the Gaussian cross-component e^{-t^2/2} is below 1e-48 at t = 15
         assert abs(float(v - ref)) <= bound * (1.0 + 1e-9) + 1e-40
-
-
-def test_early_stop_matches_full_sum(params64):
-    for n, t in ((0, 12.0), (3, 20.0), (6, 80.0)):
-        part = asymptotic_In_imag_part if n % 2 == 0 \
-            else asymptotic_In_real_part
-        a = part(n, t, params64, early_stop=True)
-        b = part(n, t, params64, early_stop=False)
-        # the keyword is kept for callers; both give the full truncated sum
-        assert a == b
 
 
 @pytest.mark.parametrize("n", range(7))
 def test_recurrence_matches_term_by_term_sum(params64, n):
     # reference: the truncated sum of (2l-1)!!/t^(2l-n+1) one term at a time
     lmax = (params64.M - 1) // 2
-    part = asymptotic_In_real_part if n % 2 else asymptotic_In_imag_part
     bk = mp_backend(60)
     for t in (float(params64.thr_series), 40.0):
         with mpmath.workdps(60):
             tm = mpmath.mpf(t)
             ref = sum(double_factorial(2 * l - 1) / tm ** (2 * l - n + 1)
                       for l in range((n + 1) // 2, lmax + 1))
-            vm = abs(part(n, t, params64, backend=bk))
+            vm = abs(asymptotic_In(n, t, params64, backend=bk))
             assert abs(vm - ref) <= mpmath.mpf(10) ** -57 * ref
-        v = abs(part(n, t, params64))
+        v = abs(asymptotic_In(n, t, params64))
         assert abs(v - float(ref)) <= 4e-16 * float(ref)
 
 
