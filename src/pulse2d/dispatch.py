@@ -16,9 +16,13 @@ crop radius H = sqrt(-2 ln(eps/2)):
      d. r <= R2            -> axis-band quadrature    (Form3GL)
      e. else               -> cropped Gauss-Jacobi    (Form2Jacobi)
 
-Node counts: M2 = ceil(0.2 H^2) uniform pairs, M3 = ceil(0.71 H^2) + 1
-Gauss nodes, M = floor(H^2) series terms.  Work per point is O(H^2)
-= O(ln(1/eps)); no iteration, no adaptivity.
+Node counts: M2 = ceil(0.2 H^2) uniform pairs, M_f1 = M_gj = ceil(0.65 H^2)
+Gauss nodes for Form1GL and Form2Jacobi, M_gl = 2 ceil(0.2 H3^2) for
+Form3GL, M = floor(H^2) series terms.  Form3GL crops at H3 = sqrt(H^2 +
+2 ln 3), where the Gaussian tail is eps/6.  M3 = ceil(0.71 H^2) + 1, the
+paper's common Gauss count, stays as the ceiling of the kernel-count
+budget.  Work per point is O(H^2) = O(ln(1/eps)); no iteration, no
+adaptivity.
 
 This module only evaluates; the checks on its results (a-priori bounds,
 the stratified sampler, the energy integral) live in ``diagnostics``.
@@ -92,10 +96,14 @@ class PrecisionParams:
     eps: object
     clamped: bool
     H: object
+    H3: object           # Form3GL crop radius, exp(-H3^2 / 2) = eps / 6
     R1: object
     R2: object
     M2: int
-    M3: int
+    M3: int              # budget ceiling, not a node count of any kernel
+    M_f1: int            # Form1GL Gauss-Legendre nodes
+    M_gj: int            # Form2Jacobi Gauss-Jacobi nodes
+    M_gl: int            # Form3GL Gauss-Legendre nodes, even
     M: int
     h: object
     thr_sum: object      # 1.05 H
@@ -133,14 +141,20 @@ def make_params(eps, backend=FLOAT64) -> PrecisionParams:
         one = bk.scalar(1)
         H_sq = -2 * bk.log(e / 2)
         H = bk.sqrt(H_sq)
+        H3_sq = H_sq + 2 * bk.log(bk.scalar(3))
         R1 = (bk.scalar(7.5) * e) ** (one / 6)
         R2 = 5 * e ** (one / 10)
         M2 = bk.ceil_int(bk.scalar(0.2) * H_sq)
         M3 = bk.ceil_int(bk.scalar(0.71) * H_sq) + 1
+        M_f1 = bk.ceil_int(bk.scalar(0.65) * H_sq)
+        # even: an odd Legendre rule has a centre node that is 0 only up
+        # to the rule builder's rounding
+        M_gl = 2 * bk.ceil_int(bk.scalar(0.2) * H3_sq)
         M = bk.floor_int(H_sq)
         return PrecisionParams(
-            eps=e, clamped=clamped, H=H, R1=R1, R2=R2,
-            M2=M2, M3=M3, M=M, h=quadrature.uniform_step(M2, bk),
+            eps=e, clamped=clamped, H=H, H3=bk.sqrt(H3_sq), R1=R1, R2=R2,
+            M2=M2, M3=M3, M_f1=M_f1, M_gj=M_f1, M_gl=M_gl, M=M,
+            h=quadrature.uniform_step(M2, bk),
             thr_sum=bk.scalar(1.05) * H,
             thr_diff=bk.scalar(1.152) * H,
             thr_series=bk.scalar(1.31) * H)
@@ -150,11 +164,11 @@ def make_params(eps, backend=FLOAT64) -> PrecisionParams:
 # one element per row).  Zero has no kernel: the outputs start at zero.
 _KERNELS = (
     (Region.SMALL_T, forms.small_t_eval, None),
-    (Region.FORM1_GL, forms.form1_eval, "M3"),
+    (Region.FORM1_GL, forms.form1_eval, "M_f1"),
     (Region.SERIES, series.series_eval, None),
     (Region.FORM2_UNIFORM, forms.form2_uniform_eval, "M2"),
-    (Region.FORM2_JACOBI, forms.form2_jacobi_eval, "M3"),
-    (Region.FORM3_GL, forms.form3_eval, "M3"),
+    (Region.FORM2_JACOBI, forms.form2_jacobi_eval, "M_gj"),
+    (Region.FORM3_GL, forms.form3_eval, "M_gl"),
 )
 
 

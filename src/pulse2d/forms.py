@@ -17,8 +17,8 @@ Region conventions (tau = +-t, H = crop radius, eps = target accuracy):
   the half-line at xi = (tau + H)/r - 1 and absorbing the endpoint
   singularity into the weight.
 * axis band: Gauss-Legendre in the self-similar variable with both scaled
-  modified Bessel kernels; the parity-even combination stays finite at
-  r = 0.
+  modified Bessel kernels, cropped at H3 = sqrt(H^2 + 2 ln 3); the
+  parity-even combination stays finite at r = 0.
 
 Both Form2 kernels sum tau = t only: their regions have t + r >= 1.05 H,
 so the tau = -t half-line lies beyond the crop radius, and the uniform
@@ -45,8 +45,11 @@ __all__ = ["RuleTables", "rule_tables", "form1_eval", "form2_uniform_eval",
 class RuleTables:
     """Node tables of every kernel for one (eps, backend); arrays read-only.
 
-    In double precision the tables whose nodes the kernels multiply by t or
-    r come as hi + lo pairs (``*_lo``); under mpmath the lo fields are None.
+    In double precision every table is rounded from a 40-digit rule, and
+    the tables whose nodes the kernels multiply by t or r come as hi + lo
+    pairs (``*_lo``); under mpmath the lo fields are None.  Each Gauss
+    table has its kernel's own node count (``PrecisionParams.M_f1``,
+    ``M_gj``, ``M_gl``).
     """
     f1_omega: np.ndarray            # Form1GL: omega_i = H (1 + x_i) / 2
     f1_omega_lo: np.ndarray | None
@@ -81,15 +84,17 @@ def _split(v, mp):
 def rule_tables(params, backend) -> RuleTables:
     """All kernel tables for the precision parameters under backend.
 
-    Double-precision Form1GL and Form2Jacobi tables are rounded from
-    40-digit rules.  Nodes rounded to double are perturbed relatively by
-    eps/2; through the phase-like products t*omega and span*(eta+1)/2 that
-    by itself costs an order above the target at the far ends of the regions.
-    Keeping node = hi + lo restores full double accuracy when the kernels
-    fold the residuals into the integrand products to first order.  The
-    correctly rounded weights also replace the float64 eigensolver's, whose
-    few-ulp wobble is visible at the same scale.  Form3GL keeps the float64
-    rule.
+    Each Gauss kernel gets its own rule: M_f1, M_gj and M_gl nodes.  The
+    double-precision tables are rounded from 40-digit rules.  Nodes rounded
+    to double are perturbed relatively by eps/2; through the phase-like
+    products t*omega and span*(eta+1)/2 that by itself costs an order above
+    the target at the far ends of the regions.  Keeping node = hi + lo
+    restores full double accuracy when the kernels fold the residuals into
+    the integrand products to first order.  The correctly rounded weights
+    also replace the float64 eigensolver's, whose few-ulp wobble is visible
+    at the same scale: Form3GL needs no lo parts, but at 32 nodes its
+    float64 rule read 1.05 eps at the axis band's corner, the rounded one
+    0.84 eps.
     """
     P = params
     bk = backend
@@ -98,24 +103,24 @@ def rule_tables(params, backend) -> RuleTables:
     # split at src's precision: the lo parts must not depend on the
     # caller's global mpmath precision
     with src.workprec():
-        gl = gauss_legendre(P.M3, src)
-        gj = gauss_jacobi_m12(P.M3, src)
+        f1 = gauss_legendre(P.M_f1, src)
+        gj = gauss_jacobi_m12(P.M_gj, src)
+        gl = gauss_legendre(P.M_gl, src)
         H = src.scalar(P.H)
-        om = H * (1 + gl.nodes) / 2
-        cw = gl.weights * (H / 2) * om * src.exp(-(om * om) / 2)
+        om = H * (1 + f1.nodes) / 2
+        cw = f1.weights * (H / 2) * om * src.exp(-(om * om) / 2)
         om_hi, om_lo = _split(om, mp)
         half_hi, half_lo = _split((gj.nodes + 1) / 2, mp)
-        cw, gj_nodes, gj_weights = (_split(v, mp)[0]
-                                    for v in (cw, gj.nodes, gj.weights))
-    if not mp:
-        gl = gauss_legendre(P.M3)
+        cw, gj_nodes, gj_weights, gl_nodes, gl_weights = (
+            _split(v, mp)[0]
+            for v in (cw, gj.nodes, gj.weights, gl.nodes, gl.weights))
     with bk.workprec():
         kh = bk.asarray(list(range(1, P.M2 + 1))) * P.h
         return RuleTables(
             f1_omega=om_hi, f1_omega_lo=om_lo, f1_coeff=cw,
             gj_nodes=gj_nodes, gj_weights=gj_weights,
             gj_half=half_hi, gj_half_lo=half_lo,
-            gl_nodes=gl.nodes, gl_weights=gl.weights,
+            gl_nodes=gl_nodes, gl_weights=gl_weights,
             u_kh=_read_only(kh),
             u_gauss=_read_only(bk.exp(-(kh * kh) / 2)),
             u_pref=P.h / bk.sqrt(2 * bk.pi),
@@ -293,16 +298,21 @@ def form2_jacobi_eval(ev, t, r):
 def form3_eval(ev, t, r):
     """Axis-band evaluation; u_r vanishes identically at r = 0.
 
-    Sums the moment integrals J01, J03 and J12.  Valid for t >= (r + H)/
-    (stretching factor) so that a = 1 - (r + H)/t is positive; the dispatch
-    regions using this form guarantee it.
+    Sums the moment integrals J01, J03 and J12, cropped at H3 rather than
+    H: at the axis band's corner the crop at H, whose Gaussian tail is
+    eps/2, cost up to 1.83 eps (40-digit arithmetic, same nodes); at H3,
+    with tail eps/6, it costs up to 0.78 eps.  Valid for t > r + H3, so that
+    a = 1 - (r + H3)/t is positive and the branch point c = 1 - 2t/(r + H3)
+    lies below -1.  Both regions using this form guarantee it: the deep
+    axis strip has t - r > 1.152 H, and the band has t + r >= 1.05 H with
+    r <= R2, hence t - r >= 1.05 H - 2 R2 > H3 (a test pins the margin).
     """
     bk = ev.backend
     P = ev.params
     eta = ev.tables.gl_nodes
     w = ev.tables.gl_weights
-    a = 1 - (r + P.H) / t
-    c = 1 - 2 * t / (r + P.H)
+    a = 1 - (r + P.H3) / t
+    c = 1 - 2 * t / (r + P.H3)
     half = (1 - a) / 2
     xi = (1 + a)[..., None] / 2 + half[..., None] * eta
     zeta = 1 - xi

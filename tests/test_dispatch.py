@@ -32,11 +32,11 @@ POINTS = {
 KERNELS = {
     Region.ZERO: 0,
     Region.SMALL_T: 1,
-    Region.FORM1_GL: 216,
+    Region.FORM1_GL: 192,
     Region.SERIES: 0,
     Region.FORM2_UNIFORM: 30,
-    Region.FORM2_JACOBI: 108,
-    Region.FORM3_GL: 217,
+    Region.FORM2_JACOBI: 96,
+    Region.FORM3_GL: 129,
 }
 
 
@@ -426,8 +426,8 @@ def test_block_boundaries_are_bit_identical(ev64, block_batch, budget,
     t, r, codes = block_batch
     P = ev64.params
     width = {Region.SMALL_T: 1, Region.SERIES: 1, Region.FORM2_UNIFORM: P.M2,
-             Region.FORM1_GL: P.M3, Region.FORM2_JACOBI: P.M3,
-             Region.FORM3_GL: P.M3}
+             Region.FORM1_GL: P.M_f1, Region.FORM2_JACOBI: P.M_gj,
+             Region.FORM3_GL: P.M_gl}
     p, u, c = ev64.evaluate_arrays(t, r)
     assert np.array_equal(c, codes)
     # the same points grouped by region, so every block holds other rows

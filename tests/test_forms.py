@@ -131,6 +131,67 @@ def test_form2_regions_need_no_negative_shift():
         assert P.thr_sum > P.H, eps
 
 
+def test_form3_crop_keeps_the_band_branch_real():
+    # form3_eval needs a = 1 - (r + H3)/t > 0.  The band's corner has
+    # t - r = thr_sum - 2 R2 (tightest margin about 0.033 at eps = 2e-16);
+    # the deep axis strip has t - r > thr_diff, further out.  An odd Gauss-
+    # Legendre count has a centre node the rule builders round apart, so
+    # the double-precision table would depend on how the rule was built.
+    cases = [(e, None) for e in _SWEEP_EPS]
+    cases += [(1e-30, mp_backend(40)), (1e-40, mp_backend(50))]
+    for eps, bk in cases:
+        P = make_params(eps) if bk is None else make_params(eps, bk)
+        assert P.thr_sum - 2 * P.R2 > P.H3, eps
+        assert P.thr_diff > P.H3, eps
+        assert P.M_gl % 2 == 0, eps
+
+
+def _crop_seam_points(P):
+    """Form3GL and Form2Jacobi points where their crops cost the most."""
+    s, d, ts = float(P.thr_sum), float(P.thr_diff), float(P.thr_series)
+    r1, r2 = float(P.R1), float(P.R2)
+    # Form3GL band corner, t within 0.05 of t + r = thr_sum, r <= R2
+    rb, dt = np.meshgrid(np.linspace(0, r2, 20), np.linspace(0, 0.05, 15))
+    # Form3GL deep axis strip, thr_diff < t - r, t < thr_series, r <= R1
+    ta, ra = np.meshgrid(np.linspace(d + r1, ts, 12)[1:-1],
+                         np.linspace(0, r1, 10))
+    # Form2Jacobi off the band corner, and along the seam t - r = thr_diff
+    rj, dj = np.meshgrid(np.linspace(1.001 * r2, 3.0, 10),
+                         np.linspace(0, 0.05, 4))
+    rs, off = np.meshgrid(np.geomspace(1.001 * r2, 60.0, 10),
+                          np.linspace(-0.3, 0, 4))
+    t = np.concatenate([(s - rb + dt).ravel(), ta.ravel(),
+                        (s - rj + dj).ravel(), (rs + d + off).ravel()])
+    r = np.concatenate([rb.ravel(), ra.ravel(), rj.ravel(), rs.ravel()])
+    return t, r
+
+
+def test_float64_crop_seams_meet_eps(ev64):
+    # float64 against a 1e-30 evaluator.  With Form3GL cropped at H these
+    # points read up to 1.32 eps (the crop alone 1.83 eps, offset in part
+    # by rounding); cropped at H3, about 0.84 eps.  Form2Jacobi reads about
+    # 0.12 eps and guards its node count.
+    from pulse2d.dispatch import PulseEvaluator
+
+    t, r = _crop_seam_points(ev64.params)
+    p, u, codes = ev64.evaluate_arrays(t, r)
+    n3 = int(np.count_nonzero(codes == Region.FORM3_GL))
+    assert n3 == 400
+    assert np.count_nonzero(codes == Region.FORM2_JACOBI) == t.size - n3
+    em = PulseEvaluator(1e-30, backend=mp_backend(40))
+    pm, um, _ = em.evaluate_arrays(list(t), list(r))
+    eps = float(ev64.eps)
+    with em.backend.workprec():
+        err = np.array([max(abs(a - mpmath.mpf(float(b))),
+                            abs(c - mpmath.mpf(float(d))))
+                        for a, b, c, d in zip(pm, p, um, u)], dtype=float)
+    err /= eps
+    for region, limit in ((Region.FORM3_GL, 1.0), (Region.FORM2_JACOBI, 0.25)):
+        sel = np.flatnonzero(codes == region)
+        k = sel[np.argmax(err[sel])]
+        assert err[k] <= limit, (region.label, t[k], r[k], err[k])
+
+
 def test_batch_matches_single(ev64):
     # chunked array evaluation must be bit-identical to one-at-a-time calls
     pts = [(2.0, 1.0), (9.0, 5.0), (30.0, 1.0), (9.2, 0.1), (12.0, 0.003),
