@@ -8,19 +8,25 @@ crop radius H = sqrt(-2 ln(eps/2)):
   1. t - r > 1.152 H  (deep interior behind the front):
      a. r >  R1            -> uniform grid            (Form2Uniform)
      b. r <= R1, t >= 1.31H -> asymptotic series      (Series)
-     c. r <= R1, t <  1.31H -> axis-band quadrature   (Form3GL)
+     c. r <= R1, t <  1.31H -> axis diameter mean     (Form3GL)
   2. otherwise:
      a. t < eps            -> initial pulse           (SmallT)
      b. t < r - 1.05 H     -> ahead of the front      (Zero)
-     c. t + r < 1.05 H     -> oscillatory integral    (Form1GL)
-     d. r <= R2            -> axis-band quadrature    (Form3GL)
+     c. t + r < 1.05 H     -> diameter mean           (Form1GL)
+     d. r <= R2            -> axis diameter mean      (Form3GL)
      e. else               -> cropped Gauss-Jacobi    (Form2Jacobi)
 
-Node counts: M2 = ceil(0.2 H^2) uniform pairs, M_f1 = M_gj = ceil(0.65 H^2)
-Gauss nodes for Form1GL and Form2Jacobi, M_gl = 2 ceil(0.2 H3^2) for
-Form3GL, M = floor(H^2) series terms.  Form3GL crops at H3 = sqrt(H^2 +
-2 ln 3), where the Gaussian tail is eps/6.  M3 = ceil(0.71 H^2) + 1, the
-paper's common Gauss count, stays as the ceiling of the kernel-count
+Node counts: M2 = ceil(0.2 H^2) uniform pairs, M_gj = ceil(0.65 H^2)
+Gauss-Jacobi nodes for Form2Jacobi, M = floor(H^2) series terms.  Form1GL
+and Form3GL average the axis pressure over a diameter with the N-point
+periodic trapezoid rule, N = 2 mod 4, and take M_f1 = N_f1/2 + 1 and
+M_ax = N_ax/2 + 1 values of it per point: N_f1 is the smallest such N
+with N >= 1.2 * 1.05 H * H (94 at eps = 2e-16, 178 at 1e-30), and
+N_ax = 10 at every eps, since the axis band's trapezoid error goes like
+R2^10 = 5^10 eps.  A dense sweep along
+the regions' edges, seam strips included, puts the quadrature error of
+these counts below eps/100 from 2e-16 to 1e-40.  M3 = ceil(0.71 H^2) + 1,
+the paper's common Gauss count, stays as the ceiling of the kernel-count
 budget.  Work per point is O(H^2) = O(ln(1/eps)); no iteration, no
 adaptivity.
 
@@ -61,6 +67,9 @@ _MP_DIGIT_MARGIN = 4
 # is per row.
 _BLOCK_ELEMS = 2 ** 13
 
+# periodic trapezoid nodes of the axis-band diameter mean, at every eps
+_N_AX = 10
+
 
 class Region(enum.IntEnum):
     ZERO = 0
@@ -96,14 +105,13 @@ class PrecisionParams:
     eps: object
     clamped: bool
     H: object
-    H3: object           # Form3GL crop radius, exp(-H3^2 / 2) = eps / 6
     R1: object
     R2: object
     M2: int
     M3: int              # budget ceiling, not a node count of any kernel
-    M_f1: int            # Form1GL Gauss-Legendre nodes
+    M_f1: int            # Form1GL values of g per point, N_f1/2 + 1
+    M_ax: int            # Form3GL values of g per point, N_ax/2 + 1 = 6
     M_gj: int            # Form2Jacobi Gauss-Jacobi nodes
-    M_gl: int            # Form3GL Gauss-Legendre nodes, even
     M: int
     h: object
     thr_sum: object      # 1.05 H
@@ -141,21 +149,20 @@ def make_params(eps, backend=FLOAT64) -> PrecisionParams:
         one = bk.scalar(1)
         H_sq = -2 * bk.log(e / 2)
         H = bk.sqrt(H_sq)
-        H3_sq = H_sq + 2 * bk.log(bk.scalar(3))
         R1 = (bk.scalar(7.5) * e) ** (one / 6)
         R2 = 5 * e ** (one / 10)
         M2 = bk.ceil_int(bk.scalar(0.2) * H_sq)
         M3 = bk.ceil_int(bk.scalar(0.71) * H_sq) + 1
-        M_f1 = bk.ceil_int(bk.scalar(0.65) * H_sq)
-        # even: an odd Legendre rule has a centre node that is 0 only up
-        # to the rule builder's rounding
-        M_gl = 2 * bk.ceil_int(bk.scalar(0.2) * H3_sq)
+        thr_sum = bk.scalar(1.05) * H
+        # smallest N = 2 mod 4 with N >= 1.2 thr_sum H
+        n_f1 = 4 * bk.ceil_int((bk.scalar(1.2) * thr_sum * H - 2) / 4) + 2
         M = bk.floor_int(H_sq)
         return PrecisionParams(
-            eps=e, clamped=clamped, H=H, H3=bk.sqrt(H3_sq), R1=R1, R2=R2,
-            M2=M2, M3=M3, M_f1=M_f1, M_gj=M_f1, M_gl=M_gl, M=M,
+            eps=e, clamped=clamped, H=H, R1=R1, R2=R2, M2=M2, M3=M3,
+            M_f1=n_f1 // 2 + 1, M_ax=_N_AX // 2 + 1,
+            M_gj=bk.ceil_int(bk.scalar(0.65) * H_sq), M=M,
             h=quadrature.uniform_step(M2, bk),
-            thr_sum=bk.scalar(1.05) * H,
+            thr_sum=thr_sum,
             thr_diff=bk.scalar(1.152) * H,
             thr_series=bk.scalar(1.31) * H)
 
@@ -168,7 +175,7 @@ _KERNELS = (
     (Region.SERIES, series.series_eval, None),
     (Region.FORM2_UNIFORM, forms.form2_uniform_eval, "M2"),
     (Region.FORM2_JACOBI, forms.form2_jacobi_eval, "M_gj"),
-    (Region.FORM3_GL, forms.form3_eval, "M_gl"),
+    (Region.FORM3_GL, forms.form3_eval, "M_ax"),
 )
 
 
@@ -277,7 +284,7 @@ class PulseEvaluator:
                 for i in range(len(pts))]
 
     def kernel_count(self, t, r) -> int:
-        """Kernel evaluations (exp/trig/Bessel/sqrt) for one point."""
+        """Kernel evaluations (exp/sqrt/axis-pressure values) for one point."""
         forms._count.n = 0
         try:
             self.evaluate(t, r)

@@ -2,23 +2,36 @@
 
 Every function takes the evaluator (for its backend, precision parameters
 and the RuleTables built here by ``rule_tables``) plus 1-d backend arrays
-t, r, and returns (p, u_r) arrays.  All reductions go through elementwise
-multiplies and np.sum(axis=-1) so a batched evaluation reproduces
-single-point results bit for bit.
+t, r, and returns (p, u_r) arrays.  Every reduction is a per-row sum over
+the node axis, so a batched evaluation reproduces single-point results bit
+for bit.
 
-Region conventions (tau = +-t, H = crop radius, eps = target accuracy):
+The kernels use four integral representations.  Three are the paper's
+(Fourier-Bessel, half-line, self-similar); the fourth is the diameter mean
+of the axis pressure g(s) = p(s, 0) = 1 - sqrt(2) s D(s / sqrt(2)):
+writing J0(x) = (1/pi) int_0^pi cos(x cos theta) d theta (DLMF 10.9.1)
+under the Fourier-Bessel integral gives
 
-* near field (t + r < 1.05 H): Gauss-Legendre on the cropped oscillatory
-  Fourier-Bessel integral over [0, H].
+    p(t, r)   =  (1/pi) int_0^pi g(t + r cos theta) d theta,
+    u_r(t, r) = -(1/pi) int_0^pi g(t + r cos theta) cos theta d theta.
+
+The integrand is periodic and entire in theta, so the N-point periodic
+trapezoid rule converges geometrically (Trefethen & Weideman, SIAM Review
+56 (2014) 385); its error falls with N like J_N(omega r) at omega ~ H.
+
+Region conventions (H = crop radius, eps = target accuracy):
+
+* near field (t + r < 1.05 H, Form1GL): the diameter mean with N_f1 nodes,
+  N_f1 >= 1.2 * 1.05 H * H; M_f1 = N_f1/2 + 1 values of g per point.
+* axis band and deep axis strip (r <= R2 or r <= R1, Form3GL): the
+  diameter mean with N_ax = 10 nodes, 6 values of g: the trapezoid error
+  goes like r^N_ax, and R2 = 5 eps^(1/10).
 * far field off axis (t - r > 1.152 H, r not tiny): midpoint-offset uniform
   grid; the +-kh node pair is summed in a regularized closed form to kill
   the subtractive cancellation near the front.
 * intermediate band: Gauss-Jacobi with weight (1+x)^(-1/2), after cropping
-  the half-line at xi = (tau + H)/r - 1 and absorbing the endpoint
+  the half-line at xi = (t + H)/r - 1 and absorbing the endpoint
   singularity into the weight.
-* axis band: Gauss-Legendre in the self-similar variable with both scaled
-  modified Bessel kernels, cropped at H3 = sqrt(H^2 + 2 ln 3); the
-  parity-even combination stays finite at r = 0.
 
 Both Form2 kernels sum tau = t only: their regions have t + r >= 1.05 H,
 so the tau = -t half-line lies beyond the crop radius, and the uniform
@@ -34,32 +47,45 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numerics import as_mask, mp_backend
-from .quadrature import gauss_jacobi_m12, gauss_legendre
-from .specfun import bessel_j, scaled_i_pair
+from .quadrature import gauss_jacobi_m12
+from .specfun import TAYLOR_STEP_BITS, axis_pressure_taylor, mp_axis_pressure
 
-__all__ = ["RuleTables", "rule_tables", "form1_eval", "form2_uniform_eval",
-           "form2_jacobi_eval", "form3_eval", "small_t_eval", "zero_eval"]
+__all__ = ["RuleTables", "rule_tables", "G_MAX", "form1_eval",
+           "form2_uniform_eval", "form2_jacobi_eval", "form3_eval",
+           "small_t_eval", "zero_eval"]
+
+# largest |t + r cos theta| of the double-precision axis-pressure table.  It
+# covers the deep axis strip, |s| <= 1.31 H + R1, with the 0.02 and 1.02 R1
+# margins of the seam checks, at the only double-precision eps, 2e-16
+G_MAX = 11.5
 
 
 @dataclass(frozen=True)
 class RuleTables:
     """Node tables of every kernel for one (eps, backend); arrays read-only.
 
-    In double precision every table is rounded from a 40-digit rule, and
-    the tables whose nodes the kernels multiply by t or r come as hi + lo
-    pairs (``*_lo``); under mpmath the lo fields are None.  Each Gauss
-    table has its kernel's own node count (``PrecisionParams.M_f1``,
-    ``M_gj``, ``M_gl``).
+    The diameter-mean tables (``f1_*`` for Form1GL, ``ax_*`` for the axis
+    band) hold cos theta_k for the M/2 distinct node pairs theta_k and
+    pi - theta_k, theta_k = 2 pi k / N, then the same values negated; the
+    weights are 1 at theta = 0 and 2 elsewhere (each node also stands for
+    -theta_k), and ``*_n`` is N.  In double precision the cosines and the
+    Gauss-Jacobi table are rounded from 40 digits, the Gauss-Jacobi half
+    nodes come as hi + lo pairs (``gj_half_lo``), and ``g_taylor`` is the
+    axis-pressure table; under mpmath both are None.
     """
-    f1_omega: np.ndarray            # Form1GL: omega_i = H (1 + x_i) / 2
-    f1_omega_lo: np.ndarray | None
-    f1_coeff: np.ndarray            # w_i (H/2) omega_i exp(-omega_i^2 / 2)
+    f1_cos: np.ndarray              # Form1GL: cos theta_k, then -cos theta_k
+    f1_w: np.ndarray                # 1, 2, 2, ...
+    f1_wc: np.ndarray               # f1_w * cos theta_k
+    f1_n: object                    # N_f1
+    ax_cos: np.ndarray              # Form3GL: the same at N_ax
+    ax_w: np.ndarray
+    ax_wc: np.ndarray
+    ax_n: object
+    g_taylor: np.ndarray | None     # specfun.axis_pressure_taylor(G_MAX)
     gj_nodes: np.ndarray            # Form2Jacobi: eta_i, weight (1+x)^(-1/2)
     gj_weights: np.ndarray
     gj_half: np.ndarray             # (eta_i + 1) / 2
     gj_half_lo: np.ndarray | None
-    gl_nodes: np.ndarray            # Form3GL: Gauss-Legendre
-    gl_weights: np.ndarray
     u_kh: np.ndarray                # Form2Uniform: k h, k = 1..M2
     u_gauss: np.ndarray             # exp(-(k h)^2 / 2)
     u_pref: object                  # h / sqrt(2 pi)
@@ -81,20 +107,30 @@ def _split(v, mp):
     return _read_only(hi), _read_only(lo)
 
 
+def _diameter_rule(m, src, bk, mp):
+    """(cos, w, wc, n) of the N = 2m - 2 point periodic trapezoid rule.
+
+    N = 2 mod 4, so the m distinct nodes in [0, pi] fall into m/2 pairs
+    theta, pi - theta and none sits at pi/2.  cos is computed under src and
+    rounded to bk; w c is exact, as w is 1 or 2.
+    """
+    n = 2 * m - 2
+    c = src.cos(2 * src.pi * src.asarray(list(range(m // 2))) / n)
+    cos = _split(np.concatenate([c, -c]), mp)[0]
+    w = bk.asarray([1] + [2] * (m // 2 - 1))
+    return cos, _read_only(w), _read_only(w * cos[:m // 2]), bk.scalar(n)
+
+
 def rule_tables(params, backend) -> RuleTables:
     """All kernel tables for the precision parameters under backend.
 
-    Each Gauss kernel gets its own rule: M_f1, M_gj and M_gl nodes.  The
-    double-precision tables are rounded from 40-digit rules.  Nodes rounded
-    to double are perturbed relatively by eps/2; through the phase-like
-    products t*omega and span*(eta+1)/2 that by itself costs an order above
-    the target at the far ends of the regions.  Keeping node = hi + lo
-    restores full double accuracy when the kernels fold the residuals into
-    the integrand products to first order.  The correctly rounded weights
-    also replace the float64 eigensolver's, whose few-ulp wobble is visible
-    at the same scale: Form3GL needs no lo parts, but at 32 nodes its
-    float64 rule read 1.05 eps at the axis band's corner, the rounded one
-    0.84 eps.
+    Double-precision tables are rounded from 40-digit values.  Nodes
+    rounded to double are perturbed relatively by eps/2; through the
+    product span*(eta+1)/2 that by itself costs an order above the target
+    at the far end of the Jacobi band, so its half nodes are kept as
+    hi + lo and the kernel folds the residual into the product to first
+    order.  The correctly rounded weights also replace the float64
+    eigensolver's, whose few-ulp wobble is visible at the same scale.
     """
     P = params
     bk = backend
@@ -103,24 +139,20 @@ def rule_tables(params, backend) -> RuleTables:
     # split at src's precision: the lo parts must not depend on the
     # caller's global mpmath precision
     with src.workprec():
-        f1 = gauss_legendre(P.M_f1, src)
         gj = gauss_jacobi_m12(P.M_gj, src)
-        gl = gauss_legendre(P.M_gl, src)
-        H = src.scalar(P.H)
-        om = H * (1 + f1.nodes) / 2
-        cw = f1.weights * (H / 2) * om * src.exp(-(om * om) / 2)
-        om_hi, om_lo = _split(om, mp)
         half_hi, half_lo = _split((gj.nodes + 1) / 2, mp)
-        cw, gj_nodes, gj_weights, gl_nodes, gl_weights = (
-            _split(v, mp)[0]
-            for v in (cw, gj.nodes, gj.weights, gl.nodes, gl.weights))
+        gj_nodes, gj_weights = (_split(v, mp)[0]
+                                for v in (gj.nodes, gj.weights))
+        f1 = _diameter_rule(P.M_f1, src, bk, mp)
+        ax = _diameter_rule(P.M_ax, src, bk, mp)
     with bk.workprec():
         kh = bk.asarray(list(range(1, P.M2 + 1))) * P.h
         return RuleTables(
-            f1_omega=om_hi, f1_omega_lo=om_lo, f1_coeff=cw,
+            f1_cos=f1[0], f1_w=f1[1], f1_wc=f1[2], f1_n=f1[3],
+            ax_cos=ax[0], ax_w=ax[1], ax_wc=ax[2], ax_n=ax[3],
+            g_taylor=None if mp else axis_pressure_taylor(G_MAX),
             gj_nodes=gj_nodes, gj_weights=gj_weights,
             gj_half=half_hi, gj_half_lo=half_lo,
-            gl_nodes=gl_nodes, gl_weights=gl_weights,
             u_kh=_read_only(kh),
             u_gauss=_read_only(bk.exp(-(kh * kh) / 2)),
             u_pref=P.h / bk.sqrt(2 * bk.pi),
@@ -160,44 +192,73 @@ def _two_sum(a, b):
     return s, err
 
 
+# (x + _SIGMA) - _SIGMA rounds x to a multiple of 2**-45 while |x| < 64,
+# as x + _SIGMA then stays in [128, 256), where the spacing is 2**-45
+_SIGMA = 1.5 * 2 ** 7
+
+
+def _row_sum(x):
+    """Sums over the last axis of x with about one rounding in binary64.
+
+    Needs |x| < 64 elementwise and a row sum of |x| below 2**8.  Then each
+    hi is a multiple of 2**-45 and so is every partial sum of the hi, and
+    below 2**8 those take at most 53 bits: np.sum(hi) is exact in any
+    order, x - hi is exact, and only the sum of the small lo parts and the
+    final addition round.  Under mpmath it is a plain sum at the working
+    precision.  ``np.sum(x)`` alone cost up to 1.5 eps on 47 O(1)
+    same-sign terms.
+    """
+    hi = (x + _SIGMA) - _SIGMA
+    return np.sum(hi, axis=-1) + np.sum(x - hi, axis=-1)
+
+
+_STEPS = float(2 ** TAYLOR_STEP_BITS)
+
+
+def _axis_pressure(ev, s):
+    """g(s) elementwise: Horner on the Taylor table at the nearest centre
+    in double precision (s beyond G_MAX + 1/64 raises IndexError),
+    ``specfun.mp_axis_pressure`` under mpmath."""
+    tab = ev.tables.g_taylor
+    if tab is None:
+        dps = ev.backend.dps
+        return np.frompyfunc(lambda v: mp_axis_pressure(v, dps), 1, 1)(s)
+    # y = 32 |s| - j is exact, in [-1/2, 1/2]; g is even
+    y = np.abs(s) * _STEPS
+    j = np.rint(y)
+    y -= j
+    j = j.astype(np.intp)
+    acc = tab[-1].take(j)
+    acc *= y
+    for row in tab[-2:1:-1]:
+        acc += row.take(j)
+        acc *= y
+    acc += tab[1].take(j)
+    acc += tab[0].take(j)
+    return acc
+
+
+def _diameter_mean(ev, t, r, cos, w, wc, n):
+    """(p, u_r) from the diameter mean of g with the N = n trapezoid rule.
+
+    Pairs theta with pi - theta: s = t + r cos theta and t - r cos theta
+    come from one product, so u_r sums the differences g(t - r c) -
+    g(t + r c), which are exactly 0 at r = 0.  The row terms satisfy
+    _row_sum's bounds: |g| <= 1, so each term is at most 4 in size and a
+    row sums to at most n, at most 94 in double precision.
+    """
+    _tick(cos.size)
+    g = _axis_pressure(ev, t[..., None] + r[..., None] * cos)
+    k = w.size
+    gp = g[..., :k]
+    gm = g[..., k:]
+    return _row_sum(w * (gp + gm)) / n, _row_sum(wc * (gm - gp)) / n
+
+
 def form1_eval(ev, t, r):
-    """Oscillatory near-field integral, cropped at omega = H."""
-    bk = ev.backend
+    """Near field (t + r < 1.05 H): the diameter mean at N_f1 nodes."""
     tb = ev.tables
-    om = tb.f1_omega
-    cw = tb.f1_coeff
-    _tick(4 * om.size)
-    if tb.f1_omega_lo is None:
-        # mpmath nodes carry the working precision; the compensated branch
-        # would only slow it down
-        X = r[..., None] * om
-        T = t[..., None] * om
-        j0 = bessel_j(0, X, bk)
-        j1 = bessel_j(1, X, bk)
-        co = bk.cos(T)
-        si = bk.sin(T)
-    else:
-        # arguments reach ~H^2; rounding them costs eps*|arg|/2 ~ 4e-15
-        # inside the kernels, so carry the product residual (plus the part
-        # of the node below double resolution) to first order
-        lo = tb.f1_omega_lo
-        X, dx = _two_prod(r[..., None], om)
-        T, dt_ = _two_prod(t[..., None], om)
-        dx = dx + r[..., None] * lo
-        dt_ = dt_ + t[..., None] * lo
-        j0r = bessel_j(0, X, bk)
-        j1r = bessel_j(1, X, bk)
-        cor = bk.cos(T)
-        sir = bk.sin(T)
-        xs = np.where(X > 1e-12, X, 1.0)
-        j1d = np.where(X > 1e-12, j0r - j1r / xs, 0.5)
-        j0 = j0r - dx * j1r
-        j1 = j1r + dx * j1d
-        co = cor - dt_ * sir
-        si = sir + dt_ * cor
-    p = np.sum(cw * j0 * co, axis=-1)
-    u = np.sum(cw * j1 * si, axis=-1)
-    return p, u
+    return _diameter_mean(ev, t, r, tb.f1_cos, tb.f1_w, tb.f1_wc, tb.f1_n)
 
 
 def _uniform_terms(ev, t, r):
@@ -296,42 +357,10 @@ def form2_jacobi_eval(ev, t, r):
 
 
 def form3_eval(ev, t, r):
-    """Axis-band evaluation; u_r vanishes identically at r = 0.
-
-    Sums the moment integrals J01, J03 and J12, cropped at H3 rather than
-    H: at the axis band's corner the crop at H, whose Gaussian tail is
-    eps/2, cost up to 1.83 eps (40-digit arithmetic, same nodes); at H3,
-    with tail eps/6, it costs up to 0.78 eps.  Valid for t > r + H3, so that
-    a = 1 - (r + H3)/t is positive and the branch point c = 1 - 2t/(r + H3)
-    lies below -1.  Both regions using this form guarantee it: the deep
-    axis strip has t - r > 1.152 H, and the band has t + r >= 1.05 H with
-    r <= R2, hence t - r >= 1.05 H - 2 R2 > H3 (a test pins the margin).
-    """
-    bk = ev.backend
-    P = ev.params
-    eta = ev.tables.gl_nodes
-    w = ev.tables.gl_weights
-    a = 1 - (r + P.H3) / t
-    c = 1 - 2 * t / (r + P.H3)
-    half = (1 - a) / 2
-    xi = (1 + a)[..., None] / 2 + half[..., None] * eta
-    zeta = 1 - xi
-    arg = (r - t)[..., None] + t[..., None] * xi
-    _tick(4 * eta.size + 1)
-    gauss = bk.exp(-(arg * arg) / 2)
-    x = (r * t)[..., None] * zeta
-    i0, i1 = scaled_i_pair(x, bk)
-    root = bk.sqrt((eta - c[..., None]) * (1 + zeta))
-    base = (w * bk.sqrt(half)[..., None]) * gauss / root
-    bz = base * zeta
-    j01 = np.sum(bz * i0, axis=-1)
-    j03 = np.sum(bz * (zeta * zeta) * i0, axis=-1)
-    j12 = np.sum(bz * zeta * i1, axis=-1)
-    t2 = t * t
-    rt = r * t
-    p = j01 - t2 * j03 + rt * j12
-    u = rt * j01 - t2 * j12
-    return p, u
+    """Axis band and deep axis strip (r <= R2): the diameter mean at N_ax
+    nodes; u_r vanishes identically at r = 0."""
+    tb = ev.tables
+    return _diameter_mean(ev, t, r, tb.ax_cos, tb.ax_w, tb.ax_wc, tb.ax_n)
 
 
 def small_t_eval(ev, t, r):

@@ -4,7 +4,8 @@ The evaluation kernels are written once against a small backend interface:
 the double backend maps onto numpy (vectorized, production) and the extended
 backend onto mpmath (element-wise, used for reference runs and for isolating
 algorithmic error from rounding error).  Backends supply transcendental
-primitives, constants and conversions; Bessel kernels live in ``specfun``.
+primitives, constants and conversions; special functions live in
+``specfun``.
 
 mpmath arithmetic picks up the *global* working precision, so every entry
 point that does extended-precision work must run inside ``backend.workprec()``.

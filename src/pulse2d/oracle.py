@@ -23,6 +23,7 @@ extended precision.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -32,7 +33,7 @@ import mpmath
 
 from .numerics import mp_backend
 from .quadrature import gauss_legendre
-from .specfun import _mp_scaled_i_pair
+from .specfun import _mp_scaled_i_pair, mp_axis_pressure
 
 __all__ = ["OracleError", "OracleResult", "oracle_eval", "in_reference",
            "axis_pressure", "verify_on_lattice", "LatticeReport"]
@@ -193,11 +194,7 @@ def _oscillatory(t, r, tol_f, rule):
 
 def axis_pressure(t, dps=40):
     """Closed-form p(t, 0) = 1 - sqrt(2) t D(t / sqrt(2)), D = Dawson."""
-    with mpmath.workdps(dps):
-        tm = mpmath.mpf(t)
-        arg = tm / mpmath.sqrt(2)
-        daw = mpmath.sqrt(mpmath.pi) / 2 * mpmath.exp(-arg * arg) * mpmath.erfi(arg)
-        return 1 - mpmath.sqrt(2) * tm * daw
+    return mp_axis_pressure(t, dps)
 
 
 def oracle_eval(t, r, target_tol=1e-18, use_form1="auto"):
@@ -272,11 +269,30 @@ def in_reference(n, t, dps=60):
         for k in range(n):
             val = mpmath.mpc(0, 1) * tm * val + he0[k]
     with mpmath.workdps(dps):
+        q = _in_quadratures(t, dps)
+        quad = mpmath.mpc(q[2 * n], q[2 * n + 1])
+        diff = abs(val - quad)
+        scale = max(abs(val), mpmath.mpf(1))
+        if diff > scale * mpmath.mpf(10) ** (-(dps - 12)):
+            raise OracleError(
+                f"I_{n}({float(t)}) routes disagree by {float(diff):.3e}")
+        return val
+
+
+@functools.lru_cache(maxsize=16)
+def _in_quadratures(t, dps):
+    """Panel quadrature of the I_n(t) integral for n = 0..8 at once, as
+    (Re I_0, Im I_0, Re I_1, ...).
+
+    One node set serves every n: its cut-off w_hi is the one n = 8 needs,
+    and He_n comes from the recurrence He_{k+1} = w He_k - k He_{k-1}, so
+    each node costs one exp and one cos_sin for all nine integrals.
+    """
+    with mpmath.workdps(dps):
         tm = mpmath.mpf(t)
-        # quadrature of the defining integral
         w_hi = math.sqrt(2.0 * (dps * math.log(10.0) + 40.0))
         w_hi = math.sqrt(2.0 * (dps * math.log(10.0) + 40.0
-                                + max(n, 1) * math.log(1.0 + w_hi)))
+                                + 8 * math.log(1.0 + w_hi)))
         width = math.pi / (2.0 * max(float(t), 1.0))
         n_pan = max(2, int(math.ceil(w_hi / width)))
         edges = [w_hi * i / n_pan for i in range(n_pan + 1)]
@@ -285,22 +301,18 @@ def in_reference(n, t, dps=60):
         m_rule = 24 + dps // 3
 
         def f(w):
-            hkm, hk = mpmath.mpf(0), mpmath.mpf(1)
-            for k in range(n):
-                hkm, hk = hk, w * hk - k * hkm
-            e = hk * mpmath.exp(-w * w / 2)
+            e = mpmath.exp(-w * w / 2)
             c, s = mpmath.cos_sin(tm * w)
-            return e * c, e * s
+            ec, es = e * c, e * s
+            out = []
+            hkm, hk = mpmath.mpf(0), mpmath.mpf(1)
+            for k in range(9):
+                out += [hk * ec, hk * es]
+                hkm, hk = hk, w * hk - k * hkm
+            return out
 
         rule = gauss_legendre(m_rule, mp_backend(dps))
-        re_q, im_q = _integrate_panels(f, edges, rule, 2)
-        quad = mpmath.mpc(re_q, im_q)
-        diff = abs(val - quad)
-        scale = max(abs(val), mpmath.mpf(1))
-        if diff > scale * mpmath.mpf(10) ** (-(dps - 12)):
-            raise OracleError(
-                f"I_{n}({float(t)}) routes disagree by {float(diff):.3e}")
-        return val
+        return tuple(_integrate_panels(f, edges, rule, 18))
 
 
 def _oracle_map(tt, rr, target_tol):

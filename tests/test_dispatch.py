@@ -32,11 +32,11 @@ POINTS = {
 KERNELS = {
     Region.ZERO: 0,
     Region.SMALL_T: 1,
-    Region.FORM1_GL: 192,
+    Region.FORM1_GL: 48,
     Region.SERIES: 0,
     Region.FORM2_UNIFORM: 30,
     Region.FORM2_JACOBI: 96,
-    Region.FORM3_GL: 129,
+    Region.FORM3_GL: 6,
 }
 
 
@@ -158,7 +158,7 @@ def any_ev(request, ev64):
 def test_evaluator_holds_params_and_read_only_tables(any_ev):
     assert set(vars(any_ev)) == {"backend", "params", "tables"}
     mp = any_ev.backend.dtype is object
-    assert (any_ev.tables.f1_omega_lo is None) is mp
+    assert (any_ev.tables.g_taylor is None) is mp
     assert (any_ev.tables.gj_half_lo is None) is mp
     for f in dataclasses.fields(any_ev.tables):
         v = getattr(any_ev.tables, f.name)
@@ -427,7 +427,7 @@ def test_block_boundaries_are_bit_identical(ev64, block_batch, budget,
     P = ev64.params
     width = {Region.SMALL_T: 1, Region.SERIES: 1, Region.FORM2_UNIFORM: P.M2,
              Region.FORM1_GL: P.M_f1, Region.FORM2_JACOBI: P.M_gj,
-             Region.FORM3_GL: P.M_gl}
+             Region.FORM3_GL: P.M_ax}
     p, u, c = ev64.evaluate_arrays(t, r)
     assert np.array_equal(c, codes)
     # the same points grouped by region, so every block holds other rows

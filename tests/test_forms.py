@@ -131,19 +131,24 @@ def test_form2_regions_need_no_negative_shift():
         assert P.thr_sum > P.H, eps
 
 
-def test_form3_crop_keeps_the_band_branch_real():
-    # form3_eval needs a = 1 - (r + H3)/t > 0.  The band's corner has
-    # t - r = thr_sum - 2 R2 (tightest margin about 0.033 at eps = 2e-16);
-    # the deep axis strip has t - r > thr_diff, further out.  An odd Gauss-
-    # Legendre count has a centre node the rule builders round apart, so
-    # the double-precision table would depend on how the rule was built.
+def test_diameter_mean_node_law():
+    # N_f1 = 2 M_f1 - 2 is the smallest N = 2 mod 4 with N >= 1.2 thr_sum H.
+    # A dense sweep along Form1GL's edges, seam strip included, read a
+    # quadrature error of at most 0.001 eps at 2e-16 and below it at 1e-20
+    # to 1e-40, against N - 4 at 0.02 eps (2e-16).  The axis band keeps
+    # N_ax = 10 at every eps: its error goes like R2^10 = 5^10 eps, and the
+    # sweep read at most 1.3e-4 eps.
     cases = [(e, None) for e in _SWEEP_EPS]
     cases += [(1e-30, mp_backend(40)), (1e-40, mp_backend(50))]
     for eps, bk in cases:
         P = make_params(eps) if bk is None else make_params(eps, bk)
-        assert P.thr_sum - 2 * P.R2 > P.H3, eps
-        assert P.thr_diff > P.H3, eps
-        assert P.M_gl % 2 == 0, eps
+        n = 2 * P.M_f1 - 2
+        law = 1.2 * float(P.thr_sum) * float(P.H)
+        assert n % 4 == 2 and law <= n < law + 4, eps
+        assert P.M_ax == 6, eps
+    assert make_params(2e-16).M_f1 == 48
+    assert make_params(1e-30, mp_backend(40)).M_f1 == 90
+    assert make_params(1e-40, mp_backend(50)).M_f1 == 118
 
 
 def _crop_seam_points(P):
@@ -190,6 +195,34 @@ def test_float64_crop_seams_meet_eps(ev64):
         sel = np.flatnonzero(codes == region)
         k = sel[np.argmax(err[sel])]
         assert err[k] <= limit, (region.label, t[k], r[k], err[k])
+
+
+def test_float64_form1_and_axis_band_meet_eps(ev64):
+    # about 1,000 stratified points each of Form1GL and Form3GL against a
+    # 1e-30 evaluator in 40 digits.  Form1GL read up to 1.30 eps when it
+    # summed 48 Gauss nodes of four Bessel/trig calls with np.sum; the
+    # diameter mean reads about 0.5 eps
+    from pulse2d.diagnostics import stratified_sample
+    from pulse2d.dispatch import PulseEvaluator
+
+    parts = [stratified_sample(ev64, 7 * 334, seed=seed)
+             for seed in (301, 302, 303)]
+    t = np.concatenate([q[0] for q in parts])
+    r = np.concatenate([q[1] for q in parts])
+    codes = np.concatenate([q[2] for q in parts])
+    keep = (codes == Region.FORM1_GL) | (codes == Region.FORM3_GL)
+    t, r, codes = t[keep], r[keep], codes[keep]
+    assert t.size >= 2000
+    p, u, _ = ev64.evaluate_arrays(t, r)
+    em = PulseEvaluator(1e-30, backend=mp_backend(40))
+    pm, um, _ = em.evaluate_arrays(list(t), list(r))
+    with em.backend.workprec():
+        err = np.array([max(abs(a - mpmath.mpf(float(b))),
+                            abs(c - mpmath.mpf(float(d))))
+                        for a, b, c, d in zip(pm, p, um, u)], dtype=float)
+    err /= float(ev64.eps)
+    k = int(np.argmax(err))
+    assert err[k] <= 1.0, (Region(int(codes[k])).label, t[k], r[k], err[k])
 
 
 def test_batch_matches_single(ev64):

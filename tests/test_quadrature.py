@@ -172,8 +172,8 @@ def test_float64_tables_match_golub_welsch_build(monkeypatch):
     tables = {f.name: getattr(new.tables, f.name)
               for f in dataclasses.fields(new.tables)}
     tables = {k: v for k, v in tables.items() if isinstance(v, np.ndarray)}
-    assert {"f1_omega", "f1_omega_lo", "f1_coeff", "gj_nodes", "gj_weights",
-            "gj_half", "gj_half_lo", "gl_nodes", "gl_weights"} <= set(tables)
+    assert {"f1_cos", "f1_w", "f1_wc", "ax_cos", "ax_w", "ax_wc", "g_taylor",
+            "gj_nodes", "gj_weights", "gj_half", "gj_half_lo"} <= set(tables)
     for name, arr in tables.items():
         other = getattr(ref.tables, name)
         assert arr.dtype == other.dtype == np.float64, name

@@ -1,13 +1,24 @@
-"""Bessel kernels and the exact double factorial."""
+"""Axis pressure, Bessel kernels and the exact double factorial."""
+
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import mpmath
 import numpy as np
 import pytest
 
+from pulse2d.dispatch import EPS_FLOOR, make_params
+from pulse2d.forms import G_MAX, _axis_pressure, _row_sum
 from pulse2d.numerics import FLOAT64, mp_backend
 from pulse2d.specfun import (
+    TAYLOR_DEGREE,
+    axis_pressure_taylor,
     bessel_j,
     double_factorial,
+    mp_axis_pressure,
     scaled_i_pair,
 )
 
@@ -122,3 +133,109 @@ def test_scaled_i_pair_rejects_negative_mp():
     with bk.workprec():
         with pytest.raises(ValueError):
             scaled_i_pair(bk.asarray([-1.0]), bk)
+
+
+def _closed_form_g(s):
+    """g(s) = 1 - sqrt(2) s D(s / sqrt(2)) through erfi, at the caller's
+    mpmath precision."""
+    z = s / mpmath.sqrt(2)
+    return 1 - 2 * z * mpmath.sqrt(mpmath.pi) / 2 * mpmath.exp(-z * z) \
+        * mpmath.erfi(z)
+
+
+def test_axis_pressure_table_matches_mp(ev64):
+    # every centre j/32 +- 1/64 (where Horner runs farthest from its
+    # centre) plus random s over the whole table, 0.3 eps absolute
+    tab = ev64.tables.g_taylor
+    centres = np.arange(tab.shape[1]) / 32.0
+    s = np.concatenate([centres, centres + 1 / 64, centres[1:] - 1 / 64,
+                        np.random.default_rng(5).uniform(0, G_MAX, 19000)])
+    s = s[s <= G_MAX + 1 / 64]
+    assert s.size >= 20000
+    g = _axis_pressure(ev64, s)
+    with mpmath.workdps(30):
+        err = max(abs(float(mp_axis_pressure(v, 30) - mpmath.mpf(float(w))))
+                  for v, w in zip(s, g))
+    assert err <= 0.3 * EPS_FLOOR, err
+    # g is even, and beyond the table the lookup fails loudly
+    assert np.array_equal(_axis_pressure(ev64, -s), g)
+    with pytest.raises(IndexError):
+        _axis_pressure(ev64, np.array([G_MAX + 0.1]))
+
+
+def test_axis_pressure_taylor_steps_match_closed_form():
+    # the fixed-point stepping of F against mpmath.taylor of the closed form
+    tab = axis_pressure_taylor(G_MAX)
+    for j in (0, 1, 17, 32, 45, 77, 128, 200, 256, 301, tab.shape[1] - 1):
+        with mpmath.workdps(60):
+            ref = mpmath.taylor(_closed_form_g, mpmath.mpf(j) / 32,
+                                TAYLOR_DEGREE)
+            c0 = mpmath.mpf(tab[0, j]) + mpmath.mpf(tab[1, j])
+            assert abs(c0 - ref[0]) <= mpmath.mpf(10) ** -30, j
+            for k in range(1, TAYLOR_DEGREE + 1):
+                # stored scaled by 32^-k, which is exact
+                got = mpmath.mpf(tab[k + 1, j]) * 32 ** k
+                assert abs(got - ref[k]) <= 2.0 ** -53 * abs(ref[k]), (j, k)
+
+
+def test_axis_pressure_table_covers_the_axis_regions():
+    # the deep axis strip reaches |s| = thr_series + R1; the seam checks
+    # add 0.02 in t and 2% in r
+    P = make_params(EPS_FLOOR)
+    assert G_MAX >= float(P.thr_series) + 1.02 * float(P.R1) + 0.02
+    assert (axis_pressure_taylor(G_MAX).shape[1] - 1) / 32 >= G_MAX
+
+
+def test_row_sum_bounds_hold_and_sum_is_near_exact(ev64):
+    # _row_sum needs |x| < 64 per term and a row sum of |x| below 2**8.
+    # The diameter-mean terms are w (g+ + g-) and w c (g- - g+) with
+    # w <= 2, |c| <= 1, |g| <= 1 (g(0) = 1 is its maximum), so each is at
+    # most 4 and a row sums to at most N_f1 max|g|
+    tab = ev64.tables.g_taylor
+    s = np.linspace(0, G_MAX, 200001)
+    gmax = float(np.max(np.abs(_axis_pressure(ev64, s))))
+    assert gmax == 1.0 and 4 * gmax < 64
+    P = ev64.params
+    assert (2 * P.M_f1 - 2) * gmax < 2 ** 8
+    assert tab.dtype == np.float64
+    # against math.fsum on rows like Form1GL's: within one ulp, and
+    # correctly rounded almost always
+    rng = np.random.default_rng(9)
+    x = rng.uniform(-0.3, 2.0, (512, P.M_f1 // 2)) \
+        * np.where(np.arange(P.M_f1 // 2) == 0, 1.0, 2.0)
+    got = _row_sum(x)
+    ref = np.array([math.fsum(row) for row in x])
+    ulp = np.spacing(np.abs(ref))
+    assert np.all(np.abs(got - ref) <= ulp)
+    assert np.count_nonzero(got != ref) <= 5
+
+
+def test_mp_axis_pressure_matches_closed_form():
+    # fixed-point series for |s| <= 16, erfi beyond; both sides of the
+    # switch and the axis values the oracle uses
+    for dps in (20, 45):
+        for s in (0.0, 1e-9, 0.3, 1.1, 5.0, 11.5, 15.9, 16.1, 40.0):
+            with mpmath.workdps(dps + 20):
+                ref = _closed_form_g(mpmath.mpf(s))
+            got = mp_axis_pressure(s, dps)
+            assert abs(got - ref) <= abs(ref) * mpmath.mpf(10) ** (1 - dps)
+            assert mp_axis_pressure(-s, dps) == got
+
+
+def test_import_and_float64_evaluation_leave_scipy_special_unloaded():
+    # scipy.special is only imported by the float64 Bessel functions, which
+    # no evaluation path calls
+    code = (
+        "import sys\n"
+        "import pulse2d\n"
+        "pts = [(1.0, 30.0), (1e-18, 1.0), (2.0, 1.0), (12.0, 0.003),\n"
+        "       (30.0, 1.0), (9.0, 5.0), (9.2, 0.1)]\n"
+        "regions = {pulse2d.evaluate(t, r).region for t, r in pts}\n"
+        "assert len(regions) == 7, regions\n"
+        "print('scipy.special' in sys.modules)\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, timeout=120,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"
