@@ -129,8 +129,9 @@ def rule_tables(params, backend) -> RuleTables:
     product span*(eta+1)/2 that by itself costs an order above the target
     at the far end of the Jacobi band, so its half nodes are kept as
     hi + lo and the kernel folds the residual into the product to first
-    order.  The correctly rounded weights also replace the float64
-    eigensolver's, whose few-ulp wobble is visible at the same scale.
+    order.  The weights are rounded from 40 digits too: the float64
+    eigensolve's miss by up to about 1e-14 (hundreds of ulp in the small
+    end weights), which is visible at the same scale.
     """
     P = params
     bk = backend

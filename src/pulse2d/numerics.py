@@ -34,14 +34,12 @@ class Float64Backend:
 
     key = "float64"
     dtype = np.float64
-    eps = float(np.finfo(np.float64).eps)
     pi = math.pi
 
     exp = staticmethod(np.exp)
     log = staticmethod(np.log)
     sqrt = staticmethod(np.sqrt)
     cos = staticmethod(np.cos)
-    sin = staticmethod(np.sin)
 
     @staticmethod
     def scalar(x):
@@ -83,13 +81,11 @@ class MPBackend:
         self.dps = int(dps)
         self.key = f"mp{self.dps}"
         with mpmath.workdps(self.dps):
-            self.eps = +mpmath.mp.eps
             self.pi = +mpmath.pi
         self.exp = self._wrap(mpmath.exp)
         self.log = self._wrap(mpmath.log)
         self.sqrt = self._wrap(mpmath.sqrt)
         self.cos = self._wrap(mpmath.cos)
-        self.sin = self._wrap(mpmath.sin)
 
     def _wrap(self, fn):
         elementwise = np.frompyfunc(fn, 1, 1)

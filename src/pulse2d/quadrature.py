@@ -1,10 +1,10 @@
 """Gauss rules by Golub-Welsch and Newton refinement, plus the step of the
 half-integer-offset uniform grid.
 
-Float64 rules come from the symmetric tridiagonal Jacobi matrix of the
-monic three-term recurrence.  Eigenvalues and first eigenvector components
-are computed with implicit QL (Wilkinson shifts), carrying only the first
-row of the accumulated rotations; weights are mu0 * z_i^2.
+Float64 rules come from one LAPACK eigensolve (numpy.linalg.eigh) of the
+symmetric tridiagonal Jacobi matrix of the monic three-term recurrence:
+the nodes are its eigenvalues and the weights mu0 * v_0^2, with v_0 the
+first components of the normalized eigenvectors (Golub & Welsch 1969).
 
 Extended-precision (mpmath) rules start from the float64 rule and refine
 each node by Newton steps on the orthonormal recurrence
@@ -12,9 +12,8 @@ beta_{k+1} p_{k+1} = (x - a_k) p_k - beta_k p_{k-1}, with p' from the
 differentiated recurrence (after Hale & Townsend 2013 and Bogaert 2014);
 weights are 1 / sum_{k<m} p_k(x_i)^2.  The arithmetic is binary fixed
 point on Python integers with 32 guard bits, vectorized over the nodes:
-O(m^2) integer operations per step and three or four steps, where the QL
-takes O(m^2) mpf rotations.  The QL solver stays generic over
-the backend and is the reference the tests compare the refined rules with.
+O(m^2) integer operations per step and three or four steps.  The tests
+compare the refined rules with mpmath.gauss_quadrature.
 
 Gauss rules are deterministic, cached per (backend, kind, m), and marked
 read-only after construction.
@@ -83,92 +82,14 @@ def _recurrence(kind, m, bk):
     return a, b
 
 
-def _pythag(aa, bb, bk):
-    x, y = abs(aa), abs(bb)
-    if x > y:
-        ratio = y / x
-        return x * bk.sqrt(1 + ratio * ratio)
-    if y == 0:
-        return y
-    ratio = x / y
-    return y * bk.sqrt(1 + ratio * ratio)
-
-
-def _imtql2(d, e, z, bk):
-    """Implicit QL with Wilkinson shifts on a symmetric tridiagonal matrix.
-
-    d: diagonal, overwritten with eigenvalues.  e: off-diagonal (e[0..n-2]
-    used, e[n-1] scratch).  z: vector co-rotated with the similarity
-    transforms; seeding it with the first unit vector yields the first
-    components of normalized eigenvectors.  Raises RuntimeError if an
-    eigenvalue needs more than 64 sweeps.
-    """
-    n = len(d)
-    if n == 1:
-        return
-    eps = bk.eps
-    zero = bk.scalar(0)
-    one = bk.scalar(1)
-    for l in range(n):
-        niter = 0
-        while True:
-            for m_ in range(l, n - 1):
-                dd = abs(d[m_]) + abs(d[m_ + 1])
-                if abs(e[m_]) <= eps * dd:
-                    break
-            else:
-                m_ = n - 1
-            if m_ == l:
-                break
-            niter += 1
-            if niter > 64:
-                raise RuntimeError(
-                    f"implicit QL failed to converge (n={n}, l={l})")
-            g = (d[l + 1] - d[l]) / (2 * e[l])
-            rr = _pythag(g, one, bk)
-            g = d[m_] - d[l] + e[l] / (g + (rr if g >= 0 else -rr))
-            s = one
-            c = one
-            p = zero
-            underflow = False
-            for i in range(m_ - 1, l - 1, -1):
-                f = s * e[i]
-                b = c * e[i]
-                rr = _pythag(f, g, bk)
-                e[i + 1] = rr
-                if rr == 0:
-                    d[i + 1] = d[i + 1] - p
-                    e[m_] = zero
-                    underflow = True
-                    break
-                s = f / rr
-                c = g / rr
-                g = d[i + 1] - p
-                rr = (d[i] - g) * s + 2 * c * b
-                p = s * rr
-                d[i + 1] = g + p
-                g = c * rr - b
-                f = z[i + 1]
-                z[i + 1] = s * z[i] + c * f
-                z[i] = c * z[i] - s * f
-            if underflow:
-                continue
-            d[l] = d[l] - p
-            e[l] = g
-            e[m_] = zero
-
-
-def _golub_welsch(kind, m, bk):
-    a, b = _recurrence(kind, m, bk)
+def _golub_welsch(kind, m):
+    """Float64 rule from one LAPACK eigensolve of the Jacobi matrix."""
+    a, b = _recurrence(kind, m, FLOAT64)
     mu0 = b[0]
-    d = list(a)
-    e = [bk.sqrt(b[k]) for k in range(1, m)] + [bk.scalar(0)]
-    z = [bk.scalar(0)] * m
-    z[0] = bk.scalar(1)
-    _imtql2(d, e, z, bk)
-    order = sorted(range(m), key=lambda i: d[i])
-    nodes = bk.asarray([d[i] for i in order])
-    weights = bk.asarray([mu0 * z[i] * z[i] for i in order])
+    off = np.sqrt(b[1:])
+    nodes, v = np.linalg.eigh(np.diag(a) + np.diag(off, 1)
+                              + np.diag(off, -1))
+    weights = mu0 * v[0] ** 2
     nodes.setflags(write=False)
     weights.setflags(write=False)
     return GaussRule(kind=kind, m=m, nodes=nodes, weights=weights, mu0=mu0)
@@ -244,15 +165,13 @@ def rule_cache_get(kind, m, backend=FLOAT64) -> GaussRule:
     key = (backend.key, kind, int(m))
     rule = _cache.get(key)
     if rule is None:
-        # an mpmath rule is refined from the float64 one, looked up before
-        # taking the lock, which is not reentrant
-        seed = rule_cache_get(kind, m) if backend.dtype is object else None
         with _cache_lock:
             rule = _cache.get(key)
             if rule is None:
-                with backend.workprec():
-                    rule = (_golub_welsch(kind, int(m), backend)
-                            if seed is None else _newton_refine(seed, backend))
+                rule = _golub_welsch(kind, int(m))
+                if backend.dtype is object:
+                    with backend.workprec():
+                        rule = _newton_refine(rule, backend)
                 _cache[key] = rule
     return rule
 

@@ -278,12 +278,22 @@ def test_velocity_vanishes_on_the_axis_mp():
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)
-@given(r=st.lists(st.floats(0.0, 1e3), min_size=1, max_size=32))
-def test_initial_state_is_the_pulse(ev64, r):
+@given(r=st.lists(st.floats(0.0, 1e3), min_size=1, max_size=32),
+       data=st.data())
+def test_initial_state_is_the_pulse(ev64, r, data):
     r = np.array(r)
     p, u, _ = ev64.evaluate_arrays(np.zeros_like(r), r)
     assert np.array_equal(p, np.exp(-(r * r) / 2))
     assert np.all(u == 0)
+    # below eps the state is still the pulse, with velocity t r p to first
+    # order in t
+    t = np.array(data.draw(st.lists(
+        st.floats(0.0, float(ev64.eps), exclude_max=True),
+        min_size=r.size, max_size=r.size)))
+    p, u, codes = ev64.evaluate_arrays(t, r)
+    assert np.all(codes == Region.SMALL_T)
+    assert np.array_equal(p, np.exp(-(r * r) / 2))
+    assert np.array_equal(u, (t * r) * p)
 
 
 @settings(derandomize=True, max_examples=100, deadline=None)

@@ -172,10 +172,10 @@ def _crop_seam_points(P):
 
 
 def test_float64_crop_seams_meet_eps(ev64):
-    # float64 against a 1e-30 evaluator.  With Form3GL cropped at H these
-    # points read up to 1.32 eps (the crop alone 1.83 eps, offset in part
-    # by rounding); cropped at H3, about 0.84 eps.  Form2Jacobi reads about
-    # 0.12 eps and guards its node count.
+    # float64 against a 1e-30 evaluator.  Form3GL, the diameter mean of the
+    # axis pressure, reads about 0.012 eps here, its limit of 1 eps being
+    # the evaluator's own claim; Form2Jacobi reads about 0.12 eps and its
+    # tighter limit guards its node count.
     from pulse2d.dispatch import PulseEvaluator
 
     t, r = _crop_seam_points(ev64.params)
@@ -238,7 +238,8 @@ def test_batch_matches_single(ev64):
 
 
 def test_form1_mp_agreement(ev64):
-    # the double-double node table must reproduce the mp result to ~eps
+    # the diameter mean over the float64 Taylor table of g must reproduce
+    # the mp result to ~eps (it reads below 1.4e-17 at these points)
     from pulse2d.dispatch import PulseEvaluator
 
     em = PulseEvaluator(2e-16, backend=mp_backend(30))

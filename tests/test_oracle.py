@@ -5,6 +5,7 @@ import math
 import mpmath
 import pytest
 
+from pulse2d.dispatch import Region
 from pulse2d.oracle import (
     OracleError,
     axis_pressure,
@@ -26,6 +27,19 @@ ANCHORS = {
                   "-0.00003734889190295964099238"),
     (150.0, 148.0): ("-0.01372128187457875818947", "-0.01356630837631038393881"),
     (391.5, 380.0): ("-0.0004752788659997030551111", "-0.00046147704493288819005"),
+}
+
+# points off the c1 lattice 1.01^[-600, 600] (about [2.6e-3, 391]), with
+# the region each falls in
+OFF_LATTICE = {
+    (1e-8, 5.0): Region.FORM1_GL,
+    (1e4, 1e4): Region.FORM2_JACOBI,
+    (1e4, 1e4 - 3): Region.FORM2_JACOBI,
+    (1e4, 1e4 + 3): Region.FORM2_JACOBI,
+    (1e4, 1e-3): Region.SERIES,
+    (1e3, 10.0): Region.FORM2_UNIFORM,
+    (1e6, 1.0): Region.FORM2_UNIFORM,
+    (2.0, 1e5): Region.ZERO,
 }
 
 # matching real component of I_n(100): Im for even n, Re for odd n
@@ -150,3 +164,16 @@ def test_verify_on_lattice_raises_worker_oracle_error(ev64):
     # the oracle runs in worker processes; its errors must surface as-is
     with pytest.raises(OracleError, match="target_tol out of range"):
         verify_on_lattice(ev64, range(20), [0], target_tol=1e-30)
+
+
+@pytest.mark.parametrize("point", sorted(OFF_LATTICE))
+def test_off_lattice_points_meet_eps(ev64, point):
+    # the eps claim covers the whole quarter-plane, not only c1's lattice
+    t, r = point
+    sol = ev64.evaluate(t, r)
+    assert sol.region is OFF_LATTICE[point]
+    ref = oracle_eval(t, r, target_tol=1e-18)
+    with mpmath.workdps(30):
+        err = max(abs(ref.p - mpmath.mpf(sol.p)),
+                  abs(ref.ur - mpmath.mpf(sol.ur)))
+    assert float(err) <= float(ev64.eps)

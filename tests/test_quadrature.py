@@ -1,4 +1,5 @@
-"""Golub-Welsch and Newton-refined rules, and the trapezoid-grid step law."""
+"""LAPACK Golub-Welsch and Newton-refined rules, and the trapezoid-grid step
+law."""
 
 import dataclasses
 import math
@@ -116,7 +117,7 @@ def test_unknown_kind_rejected():
 
 def test_mp_rule_matches_float64():
     bk = mp_backend(30)
-    # the float64 QL iteration rounds at a few ulp against the mp rule
+    # the float64 eigensolve rounds at a few ulp against the mp rule
     gm = gauss_legendre(12, bk)
     gf = gauss_legendre(12)
     for a, b in zip(gf.nodes, gm.nodes):
@@ -135,9 +136,23 @@ def test_mp_cache_separate_from_float64():
     assert gauss_legendre(9, bk) is not gauss_legendre(9)
 
 
-def _golub_welsch_mp(kind, m, bk):
+def _mpmath_rule(kind, m, bk):
+    """(nodes, weights) of mpmath.gauss_quadrature at bk's precision,
+    sorted by node."""
     with bk.workprec():
-        return quadrature._golub_welsch(kind, m, bk)
+        if kind == KIND_LEGENDRE:
+            x, w = mpmath.gauss_quadrature(m, "legendre")
+        else:
+            x, w = mpmath.gauss_quadrature(m, "jacobi", 0, mpmath.mpf(-1) / 2)
+        order = sorted(range(m), key=lambda i: x[i])
+        return ([bk.scalar(x[i]) for i in order],
+                [bk.scalar(w[i]) for i in order])
+
+
+def _mu0(kind, bk):
+    """Exact integral of the weight function, at bk's precision."""
+    with bk.workprec():
+        return bk.scalar(2) if kind == KIND_LEGENDRE else 2 * mpmath.sqrt(2)
 
 
 @pytest.mark.parametrize("dps,kind,m", [
@@ -149,25 +164,31 @@ def _golub_welsch_mp(kind, m, bk):
 def test_refined_rules_match_golub_welsch(dps, kind, m):
     bk = mp_backend(dps)
     rule = rule_cache_get(kind, m, bk)
-    ref = _golub_welsch_mp(kind, m, bk)
-    assert rule.mu0 == ref.mu0
+    ref_x, ref_w = _mpmath_rule(kind, m, bk)
+    assert rule.mu0 == _mu0(kind, bk)
     with bk.workprec():
         tol_x = mpmath.mpf(10) ** (2 - dps)
         tol_w = mpmath.mpf(10) ** (4 - dps)
-        for a, b in zip(rule.nodes, ref.nodes):
+        for a, b in zip(rule.nodes, ref_x, strict=True):
             assert abs(a - b) <= tol_x
-        for a, b in zip(rule.weights, ref.weights):
+        for a, b in zip(rule.weights, ref_w, strict=True):
             assert abs(a - b) <= tol_w * abs(b)
 
 
 def test_float64_tables_match_golub_welsch_build(monkeypatch):
     # the double-precision evaluator rounds its hi/lo tables from 40-digit
-    # rules: built by refinement or by the QL, every bit must agree
+    # rules: built by refinement or taken from mpmath.gauss_quadrature,
+    # every bit must agree
     new = PulseEvaluator(2e-16)
+
+    def mpmath_rule(seed, bk):
+        x, w = _mpmath_rule(seed.kind, seed.m, bk)
+        return quadrature.GaussRule(kind=seed.kind, m=seed.m,
+                                    nodes=bk.asarray(x), weights=bk.asarray(w),
+                                    mu0=_mu0(seed.kind, bk))
+
     monkeypatch.setattr(quadrature, "_cache", {})
-    monkeypatch.setattr(quadrature, "_newton_refine",
-                        lambda seed, bk: quadrature._golub_welsch(
-                            seed.kind, seed.m, bk))
+    monkeypatch.setattr(quadrature, "_newton_refine", mpmath_rule)
     ref = PulseEvaluator(2e-16)
     tables = {f.name: getattr(new.tables, f.name)
               for f in dataclasses.fields(new.tables)}
@@ -200,7 +221,7 @@ def test_float64_tables_ignore_global_mpmath_precision():
     (KIND_JACOBI, jacobi_moment_over_sqrt2),
 ])
 def test_refined_rule_exact_to_degree_2m_minus_1(kind, moment):
-    # m = 200 is beyond what the QL reference builds in reasonable time
+    # exact moments, not a reference rule, so m can go well past 101
     m, dps = 200, 40
     bk = mp_backend(dps)
     rule = rule_cache_get(kind, m, bk)
@@ -217,7 +238,8 @@ def test_refined_rule_exact_to_degree_2m_minus_1(kind, moment):
 
 def test_cold_mp_rule_build_is_shared_across_threads(monkeypatch):
     # more threads than cores ask for one cold extended rule at once; the
-    # float64 seed is cold too, so a seed lookup under the lock would hang
+    # first to take the lock builds it, seed included, and the rest must
+    # find it cached rather than build it again
     monkeypatch.setattr(quadrature, "_cache", {})
     bk = mp_backend(30)
     n_threads = 8
