@@ -278,8 +278,11 @@ def _cmd_rules(args, parser) -> int:
         return 0
     if args.m is None:
         parser.error("--m is required for Gauss rules")
-    rule = (gauss_legendre(args.m) if args.kind == "legendre"
-            else gauss_jacobi_m12(args.m))
+    try:
+        rule = (gauss_legendre(args.m) if args.kind == "legendre"
+                else gauss_jacobi_m12(args.m))
+    except ValueError as exc:
+        parser.error(str(exc))
     with _open_out(args.out) as out:
         print("i,node,weight", file=out)
         for i in range(rule.m):

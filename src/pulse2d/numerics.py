@@ -39,7 +39,6 @@ class Float64Backend:
     exp = staticmethod(np.exp)
     log = staticmethod(np.log)
     sqrt = staticmethod(np.sqrt)
-    cos = staticmethod(np.cos)
 
     @staticmethod
     def scalar(x):

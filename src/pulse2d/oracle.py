@@ -33,10 +33,10 @@ import mpmath
 
 from .numerics import mp_backend
 from .quadrature import gauss_legendre
-from .specfun import _mp_scaled_i_pair, mp_axis_pressure
+from .specfun import mp_axis_pressure, mp_scaled_i_pair
 
 __all__ = ["OracleError", "OracleResult", "oracle_eval", "in_reference",
-           "axis_pressure", "verify_on_lattice", "LatticeReport"]
+           "verify_on_lattice", "LatticeReport"]
 
 
 class OracleError(RuntimeError):
@@ -166,7 +166,7 @@ def _selfsim(t, r, G, rule, dps):
     def f(s):
         u = ulo + t * s * s
         z = 1 - s * s
-        i0k, i1k = _mp_scaled_i_pair(r * t * z, dps)
+        i0k, i1k = mp_scaled_i_pair(r * t * z, dps)
         bz = 2 * mpmath.exp(-u * u / 2) / mpmath.sqrt(2 - s * s) * z
         return bz * i0k, bz * z * z * i0k, bz * z * i1k
 
@@ -192,11 +192,6 @@ def _oscillatory(t, r, tol_f, rule):
     return tuple(_integrate_panels(f, edges, rule, 2))
 
 
-def axis_pressure(t, dps=40):
-    """Closed-form p(t, 0) = 1 - sqrt(2) t D(t / sqrt(2)), D = Dawson."""
-    return mp_axis_pressure(t, dps)
-
-
 def oracle_eval(t, r, target_tol=1e-18, use_form1="auto"):
     """Certified reference value of (p, u_r) at one point.
 
@@ -220,7 +215,7 @@ def oracle_eval(t, r, target_tol=1e-18, use_form1="auto"):
         rule = gauss_legendre(32, mp_backend(dps))
         routes = []
         if r_f == 0.0:
-            routes.append(("axis", (axis_pressure(tm, dps), mpmath.mpf(0))))
+            routes.append(("axis", (mp_axis_pressure(tm, dps), mpmath.mpf(0))))
             routes.append(("selfsim", _selfsim(tm, rm, G, rule, dps)))
         else:
             routes.append(("halfline", _halfline(tm, rm, G, rule)))

@@ -35,7 +35,7 @@ __all__ = ["GaussRule", "KIND_LEGENDRE", "KIND_JACOBI", "gauss_legendre",
 KIND_LEGENDRE = "legendre"
 KIND_JACOBI = "jacobi_0_m12"    # weight (1+x)^(-1/2) on (-1, 1)
 
-_MAX_M = 4096
+_MAX_M = 512
 
 # Newton refinement: fraction bits beyond the working precision, and the
 # step cap (float64 seeds converge in three steps, four at 60 digits)

@@ -125,6 +125,15 @@ def test_rules_jacobi_needs_m(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("m", ["0", "513"])
+def test_rules_bad_m_exits_2(capsys, m):
+    with pytest.raises(SystemExit) as exc:
+        main(["rules", "--kind", "legendre", "--m", m])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "node count" in err and "Traceback" not in err
+
+
 def test_rules_uniform(capsys):
     code, out, _ = run(capsys, "rules", "--kind", "uniform")
     assert code == 0
