@@ -230,7 +230,7 @@ class PulseEvaluator:
         ta = bk.asarray([t])
         ra = bk.asarray([r])
         self._validate(ta, ra)
-        with bk.workprec():
+        with bk.workprec(), np.errstate(all="ignore"):
             return Region(int(self.classify_codes(ta, ra)[0]))
 
     def evaluate_arrays(self, t, r):
@@ -245,24 +245,24 @@ class PulseEvaluator:
         tf = t.ravel()
         rf = r.ravel()
         P = self.params
-        with bk.workprec():
+        # t + r overflows to inf beyond the largest double; the comparison
+        # against thr_sum still classifies it right
+        with bk.workprec(), np.errstate(all="ignore"):
             codes = self.classify_codes(tf, rf)
             counts = np.bincount(codes, minlength=len(Region))
             p = bk.zeros(tf.shape)
             u = bk.zeros(tf.shape)
-            with np.errstate(over="ignore", under="ignore",
-                             invalid="ignore", divide="ignore"):
-                for reg, fn, width in _KERNELS:
-                    if counts[reg] == 0:
-                        continue
-                    idx = np.flatnonzero(codes == reg)
-                    rows = max(1, _BLOCK_ELEMS // (getattr(P, width)
-                                                   if width else 1))
-                    for lo in range(0, idx.size, rows):
-                        sel = idx[lo:lo + rows]
-                        pp, uu = fn(self, tf[sel], rf[sel])
-                        p[sel] = pp
-                        u[sel] = uu
+            for reg, fn, width in _KERNELS:
+                if counts[reg] == 0:
+                    continue
+                idx = np.flatnonzero(codes == reg)
+                rows = max(1, _BLOCK_ELEMS // (getattr(P, width)
+                                               if width else 1))
+                for lo in range(0, idx.size, rows):
+                    sel = idx[lo:lo + rows]
+                    pp, uu = fn(self, tf[sel], rf[sel])
+                    p[sel] = pp
+                    u[sel] = uu
         return p.reshape(shape), u.reshape(shape), codes.reshape(shape)
 
     def evaluate(self, t, r) -> PulseSolution:

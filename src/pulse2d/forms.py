@@ -41,14 +41,16 @@ t - r > 1.152 H, so no +kh node lacks its -kh partner in the domain.
 
 from __future__ import annotations
 
+import math
 import threading
 from dataclasses import dataclass
 
+import mpmath
 import numpy as np
 
 from .numerics import as_mask, mp_backend
 from .quadrature import gauss_jacobi_m12
-from .specfun import TAYLOR_STEP_BITS, axis_pressure_taylor, mp_axis_pressure
+from .specfun import TAYLOR_STEP_BITS, axis_pressure_rows, axis_pressure_taylor
 
 __all__ = ["RuleTables", "rule_tables", "G_MAX", "form1_eval",
            "form2_uniform_eval", "form2_jacobi_eval", "form3_eval",
@@ -69,9 +71,15 @@ class RuleTables:
     pi - theta_k, theta_k = 2 pi k / N, then the same values negated; the
     weights are 1 at theta = 0 and 2 elsewhere (each node also stands for
     -theta_k), and ``*_n`` is N.  In double precision the cosines and the
-    Gauss-Jacobi table are rounded from 40 digits, the Gauss-Jacobi half
-    nodes come as hi + lo pairs (``gj_half_lo``), and ``g_taylor`` is the
-    axis-pressure table; under mpmath both are None.
+    Gauss-Jacobi table are rounded from 40 digits and the Gauss-Jacobi half
+    nodes come as hi + lo pairs (``gj_half_lo``; None under mpmath).
+
+    ``g_taylor`` holds the Taylor polynomials of the axis pressure g at the
+    centres j / 32, one row per coefficient, from one builder
+    (``specfun.axis_pressure_rows``) on both backends: in double precision
+    the float64 table of ``specfun.axis_pressure_taylor(G_MAX)``, under
+    mpmath the coefficients of y^k, y = 32 (|s| - j / 32), as Python
+    integers with ``g_frac`` fraction bits (None in double precision).
     """
     f1_cos: np.ndarray              # Form1GL: cos theta_k, then -cos theta_k
     f1_w: np.ndarray                # 1, 2, 2, ...
@@ -81,7 +89,8 @@ class RuleTables:
     ax_w: np.ndarray
     ax_wc: np.ndarray
     ax_n: object
-    g_taylor: np.ndarray | None     # specfun.axis_pressure_taylor(G_MAX)
+    g_taylor: np.ndarray            # Taylor rows of g, float64 or int
+    g_frac: int | None              # fraction bits of the integer rows
     gj_nodes: np.ndarray            # Form2Jacobi: eta_i, weight (1+x)^(-1/2)
     gj_weights: np.ndarray
     gj_half: np.ndarray             # (eta_i + 1) / 2
@@ -121,6 +130,27 @@ def _diameter_rule(m, src, bk, mp):
     return cos, _read_only(w), _read_only(w * cos[:m // 2]), bk.scalar(n)
 
 
+def _fixed_point_taylor(params, backend):
+    """(rows, fraction bits) of g's Taylor table under an mpmath backend.
+
+    Its last centre s_max is at or beyond thr_series + R1 (the deep axis
+    strip's corner), so it covers every kernel argument.  Fraction bits:
+    the backend's digits plus 32, plus guard bits for the build's forward
+    recurrence, which amplifies rounding by up to e^{s_max}.  Row k is the
+    coefficient of y^k shifted down by 5k bits; on |y| <= 1/2 the terms
+    fall like 64^-k (radius-1 Cauchy bound), so degree bits / 6 truncates
+    below 2^-bits.
+    """
+    steps = 1 << TAYLOR_STEP_BITS
+    s_max = math.ceil(float(params.thr_series + params.R1) * steps) / steps
+    bits = math.ceil(backend.dps * math.log2(10)) + 32
+    frac = bits + math.ceil(s_max * math.log2(math.e))
+    rows = axis_pressure_rows(s_max, frac, math.ceil(bits / 6))
+    tab = np.array([[c >> (TAYLOR_STEP_BITS * k) for c in row]
+                    for k, row in enumerate(rows)], dtype=object)
+    return _read_only(tab), frac
+
+
 def rule_tables(params, backend) -> RuleTables:
     """All kernel tables for the precision parameters under backend.
 
@@ -131,7 +161,9 @@ def rule_tables(params, backend) -> RuleTables:
     hi + lo and the kernel folds the residual into the product to first
     order.  The weights are rounded from 40 digits too: the float64
     eigensolve's miss by up to about 1e-14 (hundreds of ulp in the small
-    end weights), which is visible at the same scale.
+    end weights), which is visible at the same scale.  The axis-pressure
+    table is ``axis_pressure_taylor(G_MAX)`` in double precision and
+    ``_fixed_point_taylor`` under mpmath.
     """
     P = params
     bk = backend
@@ -146,12 +178,14 @@ def rule_tables(params, backend) -> RuleTables:
                                 for v in (gj.nodes, gj.weights))
         f1 = _diameter_rule(P.M_f1, src, bk, mp)
         ax = _diameter_rule(P.M_ax, src, bk, mp)
+    g_taylor, g_frac = (_fixed_point_taylor(P, bk) if mp
+                        else (axis_pressure_taylor(G_MAX), None))
     with bk.workprec():
         kh = bk.asarray(list(range(1, P.M2 + 1))) * P.h
         return RuleTables(
             f1_cos=f1[0], f1_w=f1[1], f1_wc=f1[2], f1_n=f1[3],
             ax_cos=ax[0], ax_w=ax[1], ax_wc=ax[2], ax_n=ax[3],
-            g_taylor=None if mp else axis_pressure_taylor(G_MAX),
+            g_taylor=g_taylor, g_frac=g_frac,
             gj_nodes=gj_nodes, gj_weights=gj_weights,
             gj_half=half_hi, gj_half_lo=half_lo,
             u_kh=_read_only(kh),
@@ -216,15 +250,43 @@ def _row_sum(x):
 _STEPS = float(2 ** TAYLOR_STEP_BITS)
 
 
+def _abs_fixed(v, shift):
+    """|v| * 2**shift for an mpf v, as an integer (floored if inexact)."""
+    man, exp = v.man_exp
+    e = exp + shift
+    return abs(man) << e if e >= 0 else abs(man) >> -e
+
+
+_abs_fixed_ufunc = np.frompyfunc(_abs_fixed, 2, 1)
+_mpf_ufunc = np.frompyfunc(lambda man, exp: mpmath.mpf((man, exp)), 2, 1)
+
+
 def _axis_pressure(ev, s):
     """g(s) elementwise: Horner on the Taylor table at the nearest centre
-    in double precision (s beyond G_MAX + 1/64 raises IndexError),
-    ``specfun.mp_axis_pressure`` under mpmath."""
-    tab = ev.tables.g_taylor
-    if tab is None:
-        dps = ev.backend.dps
-        return np.frompyfunc(lambda v: mp_axis_pressure(v, dps), 1, 1)(s)
-    # y = 32 |s| - j is exact, in [-1/2, 1/2]; g is even
+    j / 32, on y = 32 |s| - j in [-1/2, 1/2]; g is even.  s beyond the
+    table's last centre + 1/64 (G_MAX + 1/64 in double precision) raises
+    IndexError.
+
+    Under mpmath, Horner runs in binary fixed point on Python integers
+    with ``g_frac`` fraction bits: y is 32 |s| - j truncated to them
+    (exact unless |s| is tiny), and the sum is rounded once, to the
+    backend's precision.
+    """
+    tb = ev.tables
+    tab = tb.g_taylor
+    frac = tb.g_frac
+    if frac is not None:
+        y = _abs_fixed_ufunc(s, frac + TAYLOR_STEP_BITS)
+        j = (y + (1 << (frac - 1))) >> frac
+        y -= j << frac
+        j = j.astype(np.intp)
+        acc = tab[-1].take(j)
+        for row in tab[-2::-1]:
+            acc = acc * y >> frac
+            acc += row.take(j)
+        with ev.backend.workprec():
+            return _mpf_ufunc(acc, -frac)
+    # y = 32 |s| - j is exact
     y = np.abs(s) * _STEPS
     j = np.rint(y)
     y -= j

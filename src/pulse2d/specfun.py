@@ -2,11 +2,14 @@
 
 The axis pressure g(s) = p(s, 0) = 1 - sqrt(2) s D(s / sqrt(2)), with D
 Dawson's function, is the one special function the evaluation path needs:
-Form1GL and Form3GL average it over a diameter (see ``forms``).  Double
-precision reads it from a table of Taylor polynomials whose coefficients
-are rounded from 40 correct digits (``axis_pressure_taylor``); mpmath
-sums it from two positive-term series (``mp_axis_pressure``), which the
-oracle's axis route shares.
+Form1GL and Form3GL average it over a diameter (see ``forms``).  Both
+backends read it from Taylor polynomials at the centres j / 32, whose
+coefficients ``axis_pressure_rows`` builds as binary fixed-point integers:
+double precision rounds them to a float64 table (``axis_pressure_taylor``),
+mpmath keeps them as integers and runs Horner in fixed point
+(``forms.rule_tables``).  ``mp_axis_pressure`` sums g from two
+positive-term series instead; the oracle's axis route uses it, so the
+reference stays independent of the table.
 
 J0/J1 and the exponentially scaled modified functions e^{-x} I0(x) and
 e^{-x} I1(x) are off the evaluation path.  The oracle's self-similar route
@@ -35,17 +38,15 @@ import numpy as np
 
 from .numerics import FLOAT64
 
-__all__ = ["mp_axis_pressure", "axis_pressure_taylor", "TAYLOR_STEP_BITS",
-           "TAYLOR_DEGREE", "bessel_j", "scaled_i_pair", "mp_scaled_i_pair"]
+__all__ = ["mp_axis_pressure", "axis_pressure_rows", "axis_pressure_taylor",
+           "TAYLOR_STEP_BITS", "TAYLOR_DEGREE", "bessel_j", "scaled_i_pair",
+           "mp_scaled_i_pair"]
 
 # centres of the Taylor table are j / 2**TAYLOR_STEP_BITS
 TAYLOR_STEP_BITS = 5
+# degree and fixed-point fraction bits of the float64 table
 TAYLOR_DEGREE = 9
-# fixed-point fraction bits of the table build, and the Taylor terms that
-# step F from one centre to the next: the coefficients of F stay below
-# about 1 (radius-1 Cauchy bound), so 40 terms of 2**-5k reach 2**-200
 _FRAC_BITS = 200
-_STEP_TERMS = 40
 
 
 def mp_axis_pressure(s, dps):
@@ -57,21 +58,26 @@ def mp_axis_pressure(s, dps):
         g(s) = e^{-q} (1 - sum_{j>=1} q^j / (j! (2j - 1))),
         e^q  = sum_{j>=0} q^j / j!,
 
-    so for q <= 128 (|s| <= 16, every kernel argument) g is the ratio of
-    two positive-term sums, accumulated together in binary fixed point on
-    Python integers; against the erfi closed form it reads within 0.1
-    units of 10^-dps relative at 20 to 60 digits, and it is 2-4x faster.
-    The sums take about e q terms, so larger |s| (the oracle's axis route
-    far behind the front) uses D(z) = (sqrt(pi) / 2) e^{-z^2} erfi(z).
-    Either way the subtraction cancels about log10(s^2) digits where
-    g ~ -1/s^2; those are carried as guard digits.
+    so for q <= 128 (|s| <= 16) g is the ratio of two positive-term sums,
+    accumulated together in binary fixed point on Python integers; against
+    the erfi closed form it reads within 0.1 units of 10^-dps relative at
+    20 to 60 digits, and it is 2-4x faster.  The sums take about e q
+    terms, so larger |s| (the oracle's axis route far behind the front)
+    uses D(z) = (sqrt(pi) / 2) e^{-z^2} erfi(z).  Either way the
+    subtraction cancels about log10(s^2) digits where g ~ -1/s^2; those
+    are carried as guard digits, and s is read at dps plus those digits,
+    whatever the caller's global mpmath precision.  The oracle's axis
+    route calls it; the evaluator reads g from ``axis_pressure_rows``.
     """
     s_f = abs(float(s))
     guard = 3 + max(0, math.ceil(2 * math.log10(max(s_f, 1.0))))
+    # read s at the working precision, not the caller's global one
+    with mpmath.workdps(dps + guard):
+        s = mpmath.mpf(s)
     q_f = s_f * s_f / 2
     if q_f > 128:
         with mpmath.workdps(dps + guard):
-            z = mpmath.mpf(s) / mpmath.sqrt(2)
+            z = s / mpmath.sqrt(2)
             daw = mpmath.sqrt(mpmath.pi) / 2 * mpmath.exp(-z * z) \
                 * mpmath.erfi(z)
             g = 1 - 2 * z * daw
@@ -79,7 +85,7 @@ def mp_axis_pressure(s, dps):
             return +g
     # 32 bits beyond the digits absorb the floor roundings of the sums
     bits = math.ceil((dps + guard) * 3.33) + 32
-    man, exp = mpmath.mpf(s).man_exp
+    man, exp = s.man_exp
     shift = 2 * exp - 1 + bits
     q = man * man << shift if shift >= 0 else (man * man) >> -shift
     # past the peak at j ~ q, terms below e^q 2^32 units are below the
@@ -100,45 +106,67 @@ def mp_axis_pressure(s, dps):
         return +g
 
 
+def axis_pressure_rows(s_max, frac_bits, degree):
+    """Taylor coefficients of g at every centre c_j = j / 32 in [0, s_max],
+    as binary fixed-point integers with frac_bits fraction bits.
+
+    Row k (k = 0 .. degree) holds the coefficient of x^k = (s - c_j)^k,
+    unscaled.  With F = sqrt(2) D(s / sqrt(2)), F' = 1 - s F and g = F';
+    the Taylor coefficients f_k of F at c obey
+
+        (k + 1) f_{k+1} = [k = 0] - c f_k - f_{k-1},
+
+    and g's are (k + 1) f_{k+1}.  F starts at F(0) = 0 and is stepped from
+    centre to centre by its own Taylor series, all on Python integers; no
+    erfi call is needed.  The coefficients of F stay below about 1
+    (radius-1 Cauchy bound), so frac_bits / 5 terms of 2^-5k reach
+    2^-frac_bits.  The forward recurrence amplifies rounding by at most
+    e^c, so the rows are good to about frac_bits - 1.45 s_max bits.
+    """
+    sb = TAYLOR_STEP_BITS
+    one = 1 << frac_bits
+    n = math.floor(s_max * (1 << sb)) + 1
+    terms = max(-(-frac_bits // sb), degree + 1)
+    rows = [[0] * n for _ in range(degree + 1)]
+    F = 0
+    for j in range(n):
+        f = [F]
+        prev, cur = 0, F
+        for k in range(terms):
+            # c f_k with c = j / 32; floor rounding costs one fixed-point ulp
+            nxt = ((one if k == 0 else 0) - ((j * cur) >> sb) - prev) // (k + 1)
+            f.append(nxt)
+            prev, cur = cur, nxt
+        for k in range(degree + 1):
+            rows[k][j] = (k + 1) * f[k + 1]
+        F = sum(fk >> (sb * k) for k, fk in enumerate(f))
+    return rows
+
+
 def axis_pressure_taylor(s_max):
     """Degree-9 Taylor polynomials of g at every centre c_j = j / 32 in
     [0, s_max], as a read-only float64 array of shape (11, n).
 
     Row 0 and row 1 are the hi and lo parts of g(c_j); row k + 1 holds the
     coefficient of x^k scaled by 32^-k (exact), so that Horner runs on
-    y = 32 (|s| - c_j) in [-1/2, 1/2].  With F = sqrt(2) D(s / sqrt(2)),
-    F' = 1 - s F and g = F'; the Taylor coefficients f_k of F at c obey
-
-        (k + 1) f_{k+1} = [k = 0] - c f_k - f_{k-1},
-
-    and g's are (k + 1) f_{k+1}.  F starts at F(0) = 0 and is stepped from
-    centre to centre by its own Taylor series, all in binary fixed point on
-    Python integers with 200 fraction bits; no erfi call is needed.  The
-    forward recurrence amplifies rounding by at most e^c, about 10^5 at
-    c = 11.5, so every coefficient is good to 40 digits before rounding.
+    y = 32 (|s| - c_j) in [-1/2, 1/2].  Every entry is rounded once from
+    ``axis_pressure_rows`` at 200 fraction bits, which are good to 40
+    digits up to c = 11.5 (the recurrence amplifies rounding by about
+    10^5 there).
     """
     sb = TAYLOR_STEP_BITS
     one = 1 << _FRAC_BITS
-    n = math.floor(s_max * (1 << sb)) + 1
-    out = np.empty((TAYLOR_DEGREE + 2, n))
-    F = 0
-    for j in range(n):
-        f = [F]
-        prev, cur = 0, F
-        for k in range(_STEP_TERMS):
-            # c f_k with c = j / 32; floor rounding costs one fixed-point ulp
-            nxt = ((one if k == 0 else 0) - ((j * cur) >> sb) - prev) // (k + 1)
-            f.append(nxt)
-            prev, cur = cur, nxt
-        g0 = f[1]
+    rows = axis_pressure_rows(s_max, _FRAC_BITS, TAYLOR_DEGREE)
+    out = np.empty((TAYLOR_DEGREE + 2, len(rows[0])))
+    for j, g0 in enumerate(rows[0]):
         hi = g0 / one                   # int / int rounds correctly
         out[0, j] = hi
         # hi * 2**200 is an integer, as |hi| > 2**-148 or hi = 0
         out[1, j] = (g0 - int(math.ldexp(hi, _FRAC_BITS))) / one
-        for k in range(1, TAYLOR_DEGREE + 1):
-            # (k + 1) f_{k+1} / 32^k, one rounding
-            out[k + 1, j] = (k + 1) * f[k + 1] / (one << (sb * k))
-        F = sum(fk >> (sb * k) for k, fk in enumerate(f))
+    for k in range(1, TAYLOR_DEGREE + 1):
+        # (k + 1) f_{k+1} / 32^k, one rounding
+        scale = one << (sb * k)
+        out[k + 1] = [c / scale for c in rows[k]]
     out.setflags(write=False)
     return out
 

@@ -4,6 +4,7 @@ import dataclasses
 import math
 import sys
 import threading
+import warnings
 
 import mpmath
 import numpy as np
@@ -158,7 +159,10 @@ def any_ev(request, ev64):
 def test_evaluator_holds_params_and_read_only_tables(any_ev):
     assert set(vars(any_ev)) == {"backend", "params", "tables"}
     mp = any_ev.backend.dtype is object
-    assert (any_ev.tables.g_taylor is None) is mp
+    # one g table on both backends: float64 rows, or fixed-point integers
+    # with g_frac fraction bits under mpmath
+    assert (any_ev.tables.g_taylor.dtype == object) is mp
+    assert (any_ev.tables.g_frac is None) is not mp
     assert (any_ev.tables.gj_half_lo is None) is mp
     for f in dataclasses.fields(any_ev.tables):
         v = getattr(any_ev.tables, f.name)
@@ -166,6 +170,15 @@ def test_evaluator_holds_params_and_read_only_tables(any_ev):
             assert not v.flags.writeable, f.name
     with pytest.raises(dataclasses.FrozenInstanceError):
         any_ev.tables.u_kh = None
+
+
+def test_huge_points_classify_without_warnings():
+    # t + r overflows to inf in classification; the region stays right
+    # and no RuntimeWarning escapes, even when warnings are errors
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert pulse2d.evaluate(1e308, 1e308).region is Region.FORM2_JACOBI
+        assert pulse2d.classify(1e308, 1e308) is Region.FORM2_JACOBI
 
 
 def _decide(t, r, P):

@@ -237,6 +237,22 @@ def test_batch_matches_single(ev64):
         assert one.region is sol.region
 
 
+def test_batch_matches_single_mp():
+    # the same under mpmath, where g comes from the fixed-point table
+    from pulse2d.dispatch import PulseEvaluator
+
+    em = PulseEvaluator(1e-30, backend=mp_backend(40))
+    pts = [(2.0, 1.0), (0.5, 0.3), (13.0, 0.001), (15.0, 1e-6),
+           (0.01, 0.01), (9.0, 5.0)]
+    batch = em.evaluate_batch(pts)
+    assert {Region.FORM1_GL, Region.FORM3_GL} <= {b.region for b in batch}
+    for (t, r), sol in zip(pts, batch):
+        one = em.evaluate(t, r)
+        assert one.p == sol.p
+        assert one.ur == sol.ur
+        assert one.region is sol.region
+
+
 def test_form1_mp_agreement(ev64):
     # the diameter mean over the float64 Taylor table of g must reproduce
     # the mp result to ~eps (it reads below 1.4e-17 at these points)

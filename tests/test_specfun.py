@@ -11,7 +11,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from pulse2d.dispatch import EPS_FLOOR, make_params
+from pulse2d.dispatch import EPS_FLOOR, PulseEvaluator, make_params
 from pulse2d.forms import G_MAX, _axis_pressure, _row_sum
 from pulse2d.numerics import FLOAT64, mp_backend
 from pulse2d.specfun import (
@@ -149,6 +149,49 @@ def test_axis_pressure_table_covers_the_axis_regions():
     assert (axis_pressure_taylor(G_MAX).shape[1] - 1) / 32 >= G_MAX
 
 
+@pytest.mark.parametrize("eps, dps", [(2e-16, 30), (1e-24, 40), (1e-30, 40),
+                                      (1e-40, 50), (1e-16, 20)])
+def test_mp_axis_pressure_table_matches_series(eps, dps):
+    # the fixed-point table against the independent series at dps + 20
+    # digits, within 10^-dps relative: every centre, every centre +- 1/64
+    # (where Horner runs farthest from its centre) and random s over the
+    # table's whole range, which covers every kernel argument
+    em = PulseEvaluator(eps, backend=mp_backend(dps))
+    P = em.params
+    n = em.tables.g_taylor.shape[1]
+    s_end = (n - 1) / 32 + 1 / 64
+    assert s_end >= float(P.thr_series + P.R1)
+    centres = np.arange(n) / 32
+    s = np.concatenate([centres, centres[1:] - 1 / 64, centres[:-1] + 1 / 64,
+                        [s_end - 2.0 ** -30],
+                        np.random.default_rng(dps).uniform(0, s_end, 500)])
+    bk = em.backend
+    sm = bk.asarray(s)
+    g = _axis_pressure(em, sm)
+    with mpmath.workdps(dps + 20):
+        tol = mpmath.mpf(10) ** -dps
+        for v, w in zip(sm, g):
+            ref = mp_axis_pressure(v, dps + 20)
+            assert abs(w - ref) <= tol * abs(ref), (float(v), w, ref)
+    # g is even, and the batch is the values one at a time
+    assert all(a == b for a, b in zip(_axis_pressure(em, -sm), g))
+    for i in (0, 7, n, sm.size - 1):
+        assert _axis_pressure(em, sm[i:i + 1])[0] == g[i]
+    # beyond the table the lookup fails loudly, as in double precision
+    with pytest.raises(IndexError):
+        _axis_pressure(em, bk.asarray([s_end + 2.0 ** -30]))
+
+
+def test_mp_axis_pressure_ignores_global_precision():
+    # s carries 40 digits; at the default 15-digit global precision it was
+    # rounded to 53 bits on the way in.  Both branches: series and erfi
+    for base in (2, 20):
+        with mpmath.workdps(40):
+            s = mpmath.mpf(base) + mpmath.mpf(10) ** -17 / 3
+            inside = mp_axis_pressure(s, 40)
+        assert mp_axis_pressure(s, 40) == inside, base
+
+
 def test_row_sum_bounds_hold_and_sum_is_near_exact(ev64):
     # _row_sum needs |x| < 64 per term and a row sum of |x| below 2**8.
     # The diameter-mean terms are w (g+ + g-) and w c (g- - g+) with
@@ -202,6 +245,23 @@ def test_import_and_float64_evaluation_leave_scipy_special_unloaded():
                          env={**os.environ, "PYTHONPATH": src})
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "False"
+
+
+def test_only_specfun_and_oracle_name_mp_axis_pressure():
+    # the evaluator reads g from its table; the oracle's series g must stay
+    # independent of it, so no other module may call the series
+    pkg = Path(__file__).resolve().parents[1] / "src" / "pulse2d"
+    found = []
+    for path in sorted(pkg.glob("*.py")):
+        if path.stem in ("specfun", "oracle"):
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            names = [getattr(node, "id", None), getattr(node, "attr", None)]
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                names += [a.name for a in node.names]
+            if "mp_axis_pressure" in names:
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
 
 
 def test_no_module_imports_a_private_name():
