@@ -23,12 +23,22 @@ periodic trapezoid rule, N = 2 mod 4, and take M_f1 = N_f1/2 + 1 and
 M_ax = N_ax/2 + 1 values of it per point: N_f1 is the smallest such N
 with N >= 1.2 * 1.05 H * H (94 at eps = 2e-16, 178 at 1e-30), and
 N_ax = 10 at every eps, since the axis band's trapezoid error goes like
-R2^10 = 5^10 eps.  A dense sweep along
-the regions' edges, seam strips included, puts the quadrature error of
-these counts below eps/100 from 2e-16 to 1e-40.  M3 = ceil(0.71 H^2) + 1,
-the paper's common Gauss count, stays as the ceiling of the kernel-count
-budget.  Work per point is O(H^2) = O(ln(1/eps)); no iteration, no
-adaptivity.
+R2^10 = 5^10 eps.  A dense sweep along the regions' edges, seam strips
+included, puts the quadrature error of these counts below eps/100 from
+2e-16 to 1e-40.
+
+These are the worst cases.  Form1GL and Form2Jacobi also hold cheaper
+rules, each for the points of one node class: Form1GL's classes are
+ranges of r and take N = 26, 42, 58 or 94 nodes at 2e-16 (14 to 48 values
+of g); Form2Jacobi's are ranges of the crop span t - r + H and take 30
+or 48 nodes.  Each class edge comes from a law in H, and at its edge
+a class's quadrature error stays below eps/100 from 2e-16 to 1e-40
+(``forms._ladders``).  The class is a float comparison on (t, r), and
+every block of a kernel call holds points of one class.
+
+M3 = ceil(0.71 H^2) + 1, the paper's common Gauss count, stays as the
+ceiling of the kernel-count budget.  Work per point is O(H^2) =
+O(ln(1/eps)); no iteration, no adaptivity.
 
 This module only evaluates; the checks on its results (a-priori bounds,
 the stratified sampler, the energy integral) live in ``diagnostics``.
@@ -37,6 +47,7 @@ the stratified sampler, the energy integral) live in ``diagnostics``.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 
@@ -109,9 +120,9 @@ class PrecisionParams:
     R2: object
     M2: int
     M3: int              # budget ceiling, not a node count of any kernel
-    M_f1: int            # Form1GL values of g per point, N_f1/2 + 1
+    M_f1: int            # Form1GL's top class: values of g, N_f1/2 + 1
     M_ax: int            # Form3GL values of g per point, N_ax/2 + 1 = 6
-    M_gj: int            # Form2Jacobi Gauss-Jacobi nodes
+    M_gj: int            # Form2Jacobi's top class: Gauss-Jacobi nodes
     M: int
     h: object
     thr_sum: object      # 1.05 H
@@ -167,15 +178,19 @@ def make_params(eps, backend=FLOAT64) -> PrecisionParams:
             thr_series=bk.scalar(1.31) * H)
 
 
-# (region, kernel, PrecisionParams field giving its node width or None for
-# one element per row).  Zero has no kernel: the outputs start at zero.
+# (region, kernel, node width: a PrecisionParams field or None for one
+# element per row, class function or None).  A class function splits the
+# region's points into node classes and gives each class's width; the
+# kernel then takes the class as k.  Zero has no kernel: the outputs start
+# at zero.
 _KERNELS = (
-    (Region.SMALL_T, forms.small_t_eval, None),
-    (Region.FORM1_GL, forms.form1_eval, "M_f1"),
-    (Region.SERIES, series.series_eval, None),
-    (Region.FORM2_UNIFORM, forms.form2_uniform_eval, "M2"),
-    (Region.FORM2_JACOBI, forms.form2_jacobi_eval, "M_gj"),
-    (Region.FORM3_GL, forms.form3_eval, "M_ax"),
+    (Region.SMALL_T, forms.small_t_eval, None, None),
+    (Region.FORM1_GL, forms.form1_eval, None, forms.form1_classes),
+    (Region.SERIES, series.series_eval, None, None),
+    (Region.FORM2_UNIFORM, forms.form2_uniform_eval, "M2", None),
+    (Region.FORM2_JACOBI, forms.form2_jacobi_eval, None,
+     forms.form2_jacobi_classes),
+    (Region.FORM3_GL, forms.form3_eval, "M_ax", None),
 )
 
 
@@ -252,17 +267,22 @@ class PulseEvaluator:
             counts = np.bincount(codes, minlength=len(Region))
             p = bk.zeros(tf.shape)
             u = bk.zeros(tf.shape)
-            for reg, fn, width in _KERNELS:
+            for reg, fn, width, classes in _KERNELS:
                 if counts[reg] == 0:
                     continue
                 idx = np.flatnonzero(codes == reg)
-                rows = max(1, _BLOCK_ELEMS // (getattr(P, width)
-                                               if width else 1))
-                for lo in range(0, idx.size, rows):
-                    sel = idx[lo:lo + rows]
-                    pp, uu = fn(self, tf[sel], rf[sel])
-                    p[sel] = pp
-                    u[sel] = uu
+                if classes is None:
+                    parts = [(fn, idx, getattr(P, width) if width else 1)]
+                else:
+                    cls, widths = classes(self, tf[idx], rf[idx])
+                    n = np.bincount(cls, minlength=len(widths))
+                    parts = [(functools.partial(fn, k=k), idx[cls == k], w)
+                             for k, w in enumerate(widths) if n[k]]
+                for kernel, sub, w in parts:
+                    rows = max(1, _BLOCK_ELEMS // w)
+                    for lo in range(0, sub.size, rows):
+                        sel = sub[lo:lo + rows]
+                        p[sel], u[sel] = kernel(self, tf[sel], rf[sel])
         return p.reshape(shape), u.reshape(shape), codes.reshape(shape)
 
     def evaluate(self, t, r) -> PulseSolution:

@@ -22,7 +22,9 @@ trapezoid rule converges geometrically (Trefethen & Weideman, SIAM Review
 Region conventions (H = crop radius, eps = target accuracy):
 
 * near field (t + r < 1.05 H, Form1GL): the diameter mean with N_f1 nodes,
-  N_f1 >= 1.2 * 1.05 H * H; M_f1 = N_f1/2 + 1 values of g per point.
+  N_f1 >= 1.2 * 1.05 H * H; M_f1 = N_f1/2 + 1 values of g per point.  Its
+  error grows with r only, so points up to three smaller radii take rules
+  of about 0.27, 0.44 and 0.61 N_f1 nodes (``_ladders``).
 * axis band and deep axis strip (r <= R2 or r <= R1, Form3GL): the
   diameter mean with N_ax = 10 nodes, 6 values of g: the trapezoid error
   goes like r^N_ax, and R2 = 5 eps^(1/10).
@@ -31,7 +33,13 @@ Region conventions (H = crop radius, eps = target accuracy):
   the subtractive cancellation near the front.
 * intermediate band: Gauss-Jacobi with weight (1+x)^(-1/2), after cropping
   the half-line at xi = (t + H)/r - 1 and absorbing the endpoint
-  singularity into the weight.
+  singularity into the weight.  Points whose Gaussian spans at most about
+  half the largest crop take 5 M_gj/8 nodes instead of M_gj.  In double precision the Gaussian's argument
+  span * (eta + 1)/2 - (t - r) takes the product of 26-bit leading parts,
+  which is exact, so it rounds only relative to itself.
+
+A node class is chosen by one float comparison on (t, r) alone, made the
+same way in a batch and for one point, so the two stay bit-identical.
 
 Both Form2 kernels sum tau = t only: their regions have t + r >= 1.05 H,
 so the tau = -t half-line lies beyond the crop radius, and the uniform
@@ -52,8 +60,9 @@ from .numerics import as_mask, mp_backend
 from .quadrature import gauss_jacobi_m12
 from .specfun import TAYLOR_STEP_BITS, axis_pressure_rows, axis_pressure_taylor
 
-__all__ = ["RuleTables", "rule_tables", "G_MAX", "form1_eval",
-           "form2_uniform_eval", "form2_jacobi_eval", "form3_eval",
+__all__ = ["RuleTables", "DiameterRule", "JacobiRule", "rule_tables",
+           "G_MAX", "form1_classes", "form1_eval", "form2_uniform_eval",
+           "form2_jacobi_classes", "form2_jacobi_eval", "form3_eval",
            "small_t_eval", "zero_eval"]
 
 # largest |t + r cos theta| of the double-precision axis-pressure table.  It
@@ -63,16 +72,52 @@ G_MAX = 11.5
 
 
 @dataclass(frozen=True)
+class DiameterRule:
+    """The N-point periodic trapezoid rule of the diameter mean, N = 2 mod 4.
+
+    ``cos`` holds cos theta_k for the m/2 distinct node pairs theta_k and
+    pi - theta_k, theta_k = 2 pi k / N, then the same values negated; the
+    weights ``w`` are 1 at theta = 0 and 2 elsewhere (each node also stands
+    for -theta_k), ``wc`` is w cos theta_k and ``n`` is N.  A point takes
+    m = N/2 + 1 values of g, the rule's ``width``.
+    """
+    cos: np.ndarray
+    w: np.ndarray
+    wc: np.ndarray
+    n: object
+
+    @property
+    def width(self):
+        return self.cos.size
+
+
+@dataclass(frozen=True)
+class JacobiRule:
+    """Gauss-Jacobi nodes eta_i and weights for the weight (1+x)^(-1/2),
+    with the half nodes (eta_i + 1) / 2.  In double precision each half node
+    is also kept as its 26-bit leading part plus the rest, ``half26 +
+    half_lo``, about 80 bits in all; both are None under mpmath."""
+    nodes: np.ndarray
+    weights: np.ndarray
+    half: np.ndarray
+    half26: np.ndarray | None
+    half_lo: np.ndarray | None
+
+    @property
+    def width(self):
+        return self.nodes.size
+
+
+@dataclass(frozen=True)
 class RuleTables:
     """Node tables of every kernel for one (eps, backend); arrays read-only.
 
-    The diameter-mean tables (``f1_*`` for Form1GL, ``ax_*`` for the axis
-    band) hold cos theta_k for the M/2 distinct node pairs theta_k and
-    pi - theta_k, theta_k = 2 pi k / N, then the same values negated; the
-    weights are 1 at theta = 0 and 2 elsewhere (each node also stands for
-    -theta_k), and ``*_n`` is N.  In double precision the cosines and the
-    Gauss-Jacobi table are rounded from 40 digits and the Gauss-Jacobi half
-    nodes come as hi + lo pairs (``gj_half_lo``; None under mpmath).
+    Form1GL and Form2Jacobi each hold a ladder of rules, fewest nodes first,
+    and the edges of their node classes: a point takes the first class
+    whose edge is at or above its r (Form1GL) or its crop span t - r + H
+    (Form2Jacobi), and the last class, today's full rule (M_f1 values of g,
+    M_gj nodes), takes the rest.  In double precision the cosines and the
+    Gauss-Jacobi tables are rounded from 40 digits.
 
     ``g_taylor`` holds the Taylor polynomials of the axis pressure g at the
     centres j / 32, one row per coefficient, from one builder
@@ -81,20 +126,13 @@ class RuleTables:
     mpmath the coefficients of y^k, y = 32 (|s| - j / 32), as Python
     integers with ``g_frac`` fraction bits (None in double precision).
     """
-    f1_cos: np.ndarray              # Form1GL: cos theta_k, then -cos theta_k
-    f1_w: np.ndarray                # 1, 2, 2, ...
-    f1_wc: np.ndarray               # f1_w * cos theta_k
-    f1_n: object                    # N_f1
-    ax_cos: np.ndarray              # Form3GL: the same at N_ax
-    ax_w: np.ndarray
-    ax_wc: np.ndarray
-    ax_n: object
+    f1: tuple                       # Form1GL: DiameterRule per class
+    f1_edges: np.ndarray            # largest r of each class but the last
+    ax: DiameterRule                # Form3GL: N_ax nodes
     g_taylor: np.ndarray            # Taylor rows of g, float64 or int
     g_frac: int | None              # fraction bits of the integer rows
-    gj_nodes: np.ndarray            # Form2Jacobi: eta_i, weight (1+x)^(-1/2)
-    gj_weights: np.ndarray
-    gj_half: np.ndarray             # (eta_i + 1) / 2
-    gj_half_lo: np.ndarray | None
+    gj: tuple                       # Form2Jacobi: JacobiRule per class
+    gj_edges: np.ndarray            # largest span t - r + H of each class
     u_kh: np.ndarray                # Form2Uniform: k h, k = 1..M2
     u_gauss: np.ndarray             # exp(-(k h)^2 / 2)
     u_pref: object                  # h / sqrt(2 pi)
@@ -106,18 +144,24 @@ def _read_only(a):
     return a
 
 
-def _split(v, mp):
-    """(hi, lo): v itself and None under mpmath, else the doubles nearest
-    each element of v and nearest the rest v - hi."""
-    if mp:
-        return _read_only(v), None
-    hi = np.array([float(x) for x in v])
-    lo = np.array([float(x - h) for x, h in zip(v, hi)])
-    return _read_only(hi), _read_only(lo)
+def _rounded(v, mp):
+    """v itself under mpmath, else the doubles nearest each element."""
+    return _read_only(v if mp else np.array([float(x) for x in v]))
+
+
+_SPLIT = 134217729.0    # 2**27 + 1, Veltkamp splitting constant for binary64
+
+
+def _veltkamp_hi(a):
+    """The leading 26 bits of each double in a (Dekker, Numer. Math. 18
+    (1971) 224): a - hi is exact and fits in 26 bits too, so the product
+    of two such leading parts is exact in binary64."""
+    c = _SPLIT * a
+    return c - (c - a)
 
 
 def _diameter_rule(m, src, bk, mp):
-    """(cos, w, wc, n) of the N = 2m - 2 point periodic trapezoid rule.
+    """The DiameterRule with N = 2m - 2 nodes, m even.
 
     N = 2 mod 4, so the m distinct nodes in [0, pi] fall into m/2 pairs
     theta, pi - theta and none sits at pi/2.  cos is computed under src and
@@ -125,9 +169,76 @@ def _diameter_rule(m, src, bk, mp):
     """
     n = 2 * m - 2
     c = src.cos(2 * src.pi * src.asarray(list(range(m // 2))) / n)
-    cos = _split(np.concatenate([c, -c]), mp)[0]
+    cos = _rounded(np.concatenate([c, -c]), mp)
     w = bk.asarray([1] + [2] * (m // 2 - 1))
-    return cos, _read_only(w), _read_only(w * cos[:m // 2]), bk.scalar(n)
+    return DiameterRule(cos=cos, w=_read_only(w),
+                        wc=_read_only(w * cos[:m // 2]), n=bk.scalar(n))
+
+
+def _jacobi_rule(m, src, mp):
+    """The m-node JacobiRule from src's 40-digit rule.  In double precision
+    half - half26 is exact and adding the 40-digit residual of the rounded
+    half node rounds at about 2**-79 of the node."""
+    gj = gauss_jacobi_m12(m, src)
+    exact = (gj.nodes + 1) / 2
+    half = _rounded(exact, mp)
+    half26 = half_lo = None
+    if not mp:
+        half26 = _read_only(_veltkamp_hi(half))
+        rest = np.array([float(x - h) for x, h in zip(exact, half)])
+        half_lo = _read_only((half - half26) + rest)
+    return JacobiRule(nodes=_rounded(gj.nodes, mp),
+                      weights=_rounded(gj.weights, mp),
+                      half=half, half26=half26, half_lo=half_lo)
+
+
+# Node classes.  Each lower class takes a share of the full node count,
+# rounded up (to N = 2 mod 4 for Form1GL), and its edge is where a law in
+# H says that count stops meeting eps/100.
+#
+# Form1GL: the N-point trapezoid rule aliases the Fourier coefficients
+# N -+ 1 of g(t + r cos theta), so its error is at most about
+# 2 int_0^inf k exp(-k^2/2) |J_{N-1}(k r)| dk at every t.  Debye's
+# J_N(N sech a) ~ exp(-N (a - tanh a)) puts the integrand's peak at
+# N = r^2 sinh(a) cosh(a), where its logarithm is -N (a - tanh(a)/2); the
+# bound meets eps/100 where that is -(H^2/2 + _F1_SLACK).  The slack
+# covers the prefactors: at six eps from 2e-16 to 1e-100 and r from 0.25
+# to 14, the smallest N on a step-4 grid whose bound meets eps/100 always
+# has N (a - tanh(a)/2) - H^2/2 above 5.4, and N - 4 always below 7.7.
+# This law grows like H^2 / ln(H/r) at small r; the linear fit
+# N = H (2.1 + r) of 2e-16 read 1300 eps at its class edge at 1e-40.
+_F1_SHARES = (0.27, 0.44, 0.61)
+_F1_SLACK = 8.0
+# Form2Jacobi: the Gaussian covers the span fraction f = (t - r + H) /
+# (thr_diff + H) of the cropped interval, and M = M_gj (1 + 3 f) / 4 nodes
+# meet eps/100 at every r of the band.  On a step-2 grid of M for f from
+# 0.05 to 1 at 2e-16, 1e-30 and 1e-40, the smallest M that does is at most
+# M_gj (0.12 + 0.88 f) up to f = 0.8; at the class edges the law's counts
+# read below 1e-7 eps.
+_GJ_SHARES = (0.625,)
+
+
+def _f1_edge(n, H):
+    """Largest r at which the n-point diameter mean meets eps/100."""
+    target = (H * H / 2 + _F1_SLACK) / n
+    a = target + 0.5
+    for _ in range(60):     # a - tanh(a)/2 = target; contracts by <= 1/2
+        a = target + math.tanh(a) / 2
+    return math.sqrt(2 * n / math.sinh(2 * a))
+
+
+def _ladders(P, bk):
+    """(f1 widths, f1 edges, gj widths, gj edges), fewest nodes first; the
+    last widths are M_f1 and M_gj, which take every point past the edges."""
+    n_f1 = 2 * P.M_f1 - 2
+    f1_n = [4 * math.ceil((q * n_f1 - 2) / 4) + 2 for q in _F1_SHARES]
+    H = float(P.H)
+    f1_edges = [bk.scalar(_f1_edge(n, H)) for n in f1_n]
+    gj_m = [math.ceil(q * P.M_gj) for q in _GJ_SHARES]
+    gj_edges = [bk.scalar(4 * m - P.M_gj) / (3 * P.M_gj) * (P.thr_diff + P.H)
+                for m in gj_m]
+    return ([n // 2 + 1 for n in f1_n] + [P.M_f1], bk.asarray(f1_edges),
+            gj_m + [P.M_gj], bk.asarray(gj_edges))
 
 
 def _fixed_point_taylor(params, backend):
@@ -157,37 +268,36 @@ def rule_tables(params, backend) -> RuleTables:
     Double-precision tables are rounded from 40-digit values.  Nodes
     rounded to double are perturbed relatively by eps/2; through the
     product span*(eta+1)/2 that by itself costs an order above the target
-    at the far end of the Jacobi band, so its half nodes are kept as
-    hi + lo and the kernel folds the residual into the product to first
-    order.  The weights are rounded from 40 digits too: the float64
-    eigensolve's miss by up to about 1e-14 (hundreds of ulp in the small
-    end weights), which is visible at the same scale.  The axis-pressure
-    table is ``axis_pressure_taylor(G_MAX)`` in double precision and
+    at the far end of the Jacobi band, so each half node is also split
+    into a 26-bit leading part, whose product with a 26-bit part of the
+    span is exact, and the rest (``_jacobi_rule``).  The weights are
+    rounded from 40 digits too: the float64 eigensolve's miss by up to
+    about 1e-14 (hundreds of ulp in the small end weights), which is
+    visible at the same scale.  The node classes of Form1GL and
+    Form2Jacobi come from ``_ladders``.  The axis-pressure table is
+    ``axis_pressure_taylor(G_MAX)`` in double precision and
     ``_fixed_point_taylor`` under mpmath.
     """
     P = params
     bk = backend
     mp = bk.dtype is object
     src = bk if mp else mp_backend(40)
+    with bk.workprec():
+        f1_m, f1_edges, gj_m, gj_edges = _ladders(P, bk)
     # split at src's precision: the lo parts must not depend on the
     # caller's global mpmath precision
     with src.workprec():
-        gj = gauss_jacobi_m12(P.M_gj, src)
-        half_hi, half_lo = _split((gj.nodes + 1) / 2, mp)
-        gj_nodes, gj_weights = (_split(v, mp)[0]
-                                for v in (gj.nodes, gj.weights))
-        f1 = _diameter_rule(P.M_f1, src, bk, mp)
+        f1 = tuple(_diameter_rule(m, src, bk, mp) for m in f1_m)
         ax = _diameter_rule(P.M_ax, src, bk, mp)
+        gj = tuple(_jacobi_rule(m, src, mp) for m in gj_m)
     g_taylor, g_frac = (_fixed_point_taylor(P, bk) if mp
                         else (axis_pressure_taylor(G_MAX), None))
     with bk.workprec():
         kh = bk.asarray(list(range(1, P.M2 + 1))) * P.h
         return RuleTables(
-            f1_cos=f1[0], f1_w=f1[1], f1_wc=f1[2], f1_n=f1[3],
-            ax_cos=ax[0], ax_w=ax[1], ax_wc=ax[2], ax_n=ax[3],
+            f1=f1, f1_edges=_read_only(f1_edges), ax=ax,
             g_taylor=g_taylor, g_frac=g_frac,
-            gj_nodes=gj_nodes, gj_weights=gj_weights,
-            gj_half=half_hi, gj_half_lo=half_lo,
+            gj=gj, gj_edges=_read_only(gj_edges),
             u_kh=_read_only(kh),
             u_gauss=_read_only(bk.exp(-(kh * kh) / 2)),
             u_pref=P.h / bk.sqrt(2 * bk.pi),
@@ -201,30 +311,6 @@ _count = threading.local()
 def _tick(n):
     if getattr(_count, "n", None) is not None:
         _count.n += n
-
-
-_SPLIT = 134217729.0    # 2**27 + 1, Dekker splitting constant for binary64
-
-
-def _two_prod(a, b):
-    """a * b = p + err exactly in binary64 (no fma needed)."""
-    p = a * b
-    ca = _SPLIT * a
-    ahi = ca - (ca - a)
-    alo = a - ahi
-    cb = _SPLIT * b
-    bhi = cb - (cb - b)
-    blo = b - bhi
-    err = ((ahi * bhi - p) + ahi * blo + alo * bhi) + alo * blo
-    return p, err
-
-
-def _two_sum(a, b):
-    """a + b = s + err exactly in binary64 (Knuth, no magnitude order)."""
-    s = a + b
-    bv = s - a
-    err = (a - (s - bv)) + (b - bv)
-    return s, err
 
 
 # (x + _SIGMA) - _SIGMA rounds x to a multiple of 2**-45 while |x| < 64,
@@ -243,6 +329,8 @@ def _row_sum(x):
     precision.  ``np.sum(x)`` alone cost up to 1.5 eps on 47 O(1)
     same-sign terms.
     """
+    if x.dtype == object:
+        return np.sum(x, axis=-1)
     hi = (x + _SIGMA) - _SIGMA
     return np.sum(hi, axis=-1) + np.sum(x - hi, axis=-1)
 
@@ -301,27 +389,57 @@ def _axis_pressure(ev, s):
     return acc
 
 
-def _diameter_mean(ev, t, r, cos, w, wc, n):
-    """(p, u_r) from the diameter mean of g with the N = n trapezoid rule.
+def _diameter_mean(ev, t, r, rule):
+    """(p, u_r) from the diameter mean of g with a DiameterRule.
 
     Pairs theta with pi - theta: s = t + r cos theta and t - r cos theta
     come from one product, so u_r sums the differences g(t - r c) -
     g(t + r c), which are exactly 0 at r = 0.  The row terms satisfy
     _row_sum's bounds: |g| <= 1, so each term is at most 4 in size and a
-    row sums to at most n, at most 94 in double precision.
+    row sums to at most N, at most 94 in double precision.
     """
+    cos = rule.cos
     _tick(cos.size)
     g = _axis_pressure(ev, t[..., None] + r[..., None] * cos)
-    k = w.size
+    k = rule.w.size
     gp = g[..., :k]
     gm = g[..., k:]
-    return _row_sum(w * (gp + gm)) / n, _row_sum(wc * (gm - gp)) / n
+    return (_row_sum(rule.w * (gp + gm)) / rule.n,
+            _row_sum(rule.wc * (gm - gp)) / rule.n)
 
 
-def form1_eval(ev, t, r):
-    """Near field (t + r < 1.05 H): the diameter mean at N_f1 nodes."""
+def _each_class(kernel, ev, t, r, cls):
+    """kernel(ev, t, r, k) on the points of each class k present."""
+    bk = ev.backend
+    p = bk.zeros(t.shape)
+    u = bk.zeros(t.shape)
+    for k in np.unique(cls):
+        sel = np.flatnonzero(cls == k)
+        p[sel], u[sel] = kernel(ev, t[sel], r[sel], int(k))
+    return p, u
+
+
+def form1_classes(ev, t, r):
+    """(class of each Form1GL point, values of g per point of each class):
+    the index of the first class edge at or above r."""
     tb = ev.tables
-    return _diameter_mean(ev, t, r, tb.f1_cos, tb.f1_w, tb.f1_wc, tb.f1_n)
+    return (np.searchsorted(tb.f1_edges, r),
+            tuple(rule.width for rule in tb.f1))
+
+
+def form1_eval(ev, t, r, k=None):
+    """Near field (t + r < 1.05 H): the diameter mean with the rule of
+    class k, or of each point's own class if k is None."""
+    if k is None:
+        return _each_class(form1_eval, ev, t, r, form1_classes(ev, t, r)[0])
+    return _diameter_mean(ev, t, r, ev.tables.f1[k])
+
+
+# -4 (kh)^2 t of the uniform grid overflows from about t = 5e305 on, and
+# inf / inf gave nan.  Capping t there leaves every t <= 1e300 as it is,
+# and the capped quotient still underflows to 0, as |p| and |u_r| are far
+# below eps at such t
+_T_CAP = 1e300
 
 
 def _uniform_terms(ev, t, r):
@@ -347,7 +465,8 @@ def _uniform_terms(ev, t, r):
     _tick(2 * kh.size)
     sp = bk.sqrt(xp * (xp + 2))
     sm = bk.sqrt(xm * (xm + 2))
-    shared = -4 * (kh * kh) * t[..., None] / ((r * r)[..., None] * sp * sm)
+    shared = (-4 * (kh * kh) * np.minimum(t, _T_CAP)[..., None]
+              / ((r * r)[..., None] * sp * sm))
     return shared / (sp + sm), shared / ((1 + xp) * sm + (1 + xm) * sp)
 
 
@@ -364,8 +483,18 @@ def form2_uniform_eval(ev, t, r):
             pref * np.sum(tb.u_gauss * f1, axis=-1))
 
 
-def form2_jacobi_eval(ev, t, r):
-    """Intermediate-band evaluation: the cropped Gauss-Jacobi half-line sum.
+def form2_jacobi_classes(ev, t, r):
+    """(class of each Form2Jacobi point, nodes of each class): the index of
+    the first class edge at or above the crop span t - r + H, formed as the
+    kernel forms it."""
+    tb = ev.tables
+    return (np.searchsorted(tb.gj_edges, (t - r) + ev.params.H),
+            tuple(rule.width for rule in tb.gj))
+
+
+def form2_jacobi_eval(ev, t, r, k=None):
+    """Intermediate-band evaluation: the cropped Gauss-Jacobi half-line sum
+    with the rule of class k, or of each point's own class if k is None.
 
     The substitution xi = b (eta + 1)/2 with crop width b = (t + H)/r - 1
     maps to [-1, 1]; the endpoint factor xi^(-1/2) becomes the rule weight
@@ -375,8 +504,12 @@ def form2_jacobi_eval(ev, t, r):
     working accuracy: near the front ahead, t - r + H <= 0 occurs.  At
     tau = -t it always holds, as t + r >= 1.05 H, so that half is skipped.
     """
+    if k is None:
+        return _each_class(form2_jacobi_eval, ev, t, r,
+                           form2_jacobi_classes(ev, t, r)[0])
     bk = ev.backend
     tb = ev.tables
+    rule = tb.gj[k]
     # window width t + H - r built from the small difference d = t - r;
     # forming r(1 + xi) - t directly would round at eps*t, which at the
     # grid extremes is two decades above the target accuracy
@@ -389,30 +522,26 @@ def form2_jacobi_eval(ev, t, r):
     ss = np.where(live, span, 1)
     b = ss / r
     c = -1 - 4 / b
-    eta = tb.gj_nodes
-    w = tb.gj_weights
-    he = tb.gj_half
+    eta = rule.nodes
+    he = rule.half
     _tick(2 * eta.size)
-    xi = b[..., None] * he
-    if tb.gj_half_lo is None:
+    if rule.half26 is None:
         arg = ss[..., None] * he - d[..., None]
-        gauss = bk.exp(-(arg * arg) / 2)
     else:
         # node and product roundings each shift arg by ~eps*d/2 right at
-        # the integrand peak; carry both residuals to first order like the
-        # near-field rule does with its split node table
-        prod, perr = _two_prod(ss[..., None], he)
-        arg, serr = _two_sum(prod, -d[..., None])
-        darg = serr + perr + ss[..., None] * tb.gj_half_lo
-        gauss = bk.exp(-(arg * arg) / 2)
-        gauss = gauss - (arg * darg) * gauss
-        arg = arg + darg
-    op = 1 + xi
-    root = bk.sqrt(eta - c[..., None])
-    base = (w * gauss) / root
-    # u_r integrand regularized: arg/(1+xi) + 1/(r (1+xi)^2) replaces the
-    # raw product, removing the front-crossing cancellation
-    g1 = arg / op + 1 / (r[..., None] * (op * op))
+        # the integrand peak, where arg is small; s_hi * half26 is exact,
+        # so arg rounds only relative to itself, plus ~2**-79 of the span
+        s_hi = _veltkamp_hi(ss)
+        s_lo = (ss - s_hi)[..., None]
+        h26 = rule.half26
+        arg = ((s_hi[..., None] * h26 - d[..., None])
+               + (s_lo * h26 + ss[..., None] * rule.half_lo))
+    gauss = bk.exp((arg * arg) * -0.5)
+    base = (rule.weights * gauss) / bk.sqrt(eta - c[..., None])
+    # u_r integrand regularized: inv (arg + inv / r) with inv = 1/(1 + xi)
+    # replaces the raw product, removing the front-crossing cancellation
+    inv = 1 / (1 + b[..., None] * he)
+    g1 = inv * (arg + inv / r[..., None])
     q0 = np.sum(base * arg, axis=-1)
     q1 = np.sum(base * g1, axis=-1)
     return (tb.inv_sqrt_2pi * np.where(live, q0, 0),
@@ -422,8 +551,7 @@ def form2_jacobi_eval(ev, t, r):
 def form3_eval(ev, t, r):
     """Axis band and deep axis strip (r <= R2): the diameter mean at N_ax
     nodes; u_r vanishes identically at r = 0."""
-    tb = ev.tables
-    return _diameter_mean(ev, t, r, tb.ax_cos, tb.ax_w, tb.ax_wc, tb.ax_n)
+    return _diameter_mean(ev, t, r, ev.tables.ax)
 
 
 def small_t_eval(ev, t, r):

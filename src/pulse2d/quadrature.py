@@ -10,7 +10,8 @@ Extended-precision (mpmath) rules start from the float64 rule and refine
 each node by Newton steps on the orthonormal recurrence
 beta_{k+1} p_{k+1} = (x - a_k) p_k - beta_k p_{k-1}, with p' from the
 differentiated recurrence (after Hale & Townsend 2013 and Bogaert 2014);
-weights are 1 / sum_{k<m} p_k(x_i)^2.  The arithmetic is binary fixed
+weights are 1 / sum_{k<m} p_k(x_i)^2, that sum taken from the
+Christoffel-Darboux identity.  The arithmetic is binary fixed
 point on Python integers with 32 guard bits, vectorized over the nodes:
 O(m^2) integer operations per step and three or four steps.  The tests
 compare the refined rules with mpmath.gauss_quadrature.
@@ -118,12 +119,11 @@ def _newton_refine(seed, bk):
     inv_b = [_to_fixed(one / v, F) for v in beta]
     x = np.array([_to_fixed(float(v), F) for v in seed.nodes], dtype=object)
     for _ in range(_MAX_NEWTON):
-        # p_k, p_{k-1} and derivatives, all scaled by 2**F; ssq by 2**F
+        # p_k, p_{k-1} and derivatives, all scaled by 2**F
         p = np.full(m, inv_b[0], dtype=object)
         p_prev = np.zeros(m, dtype=object)
         dp = np.zeros(m, dtype=object)
         dp_prev = np.zeros(m, dtype=object)
-        ssq = (p * p) >> F
         for k in range(m):
             xa = x - A[k]
             q = xa * p - B[k] * p_prev              # beta_{k+1} p_{k+1}
@@ -132,7 +132,9 @@ def _newton_refine(seed, bk):
                 break
             p_prev, p = p, (q * inv_b[k + 1]) >> F2
             dp_prev, dp = dp, (dq * inv_b[k + 1]) >> F2
-            ssq += (p * p) >> F
+        # sum_{k<m} p_k^2 = beta_m (p_m' p_{m-1} - p_{m-1}' p_m), the
+        # confluent Christoffel-Darboux identity, scaled by 2**F
+        ssq = (dq * p - q * dp) >> F2
         # p_m / p_m' = q / dq: the unknown beta_m cancels
         dx = (q << F) // dq
         x = x - dx

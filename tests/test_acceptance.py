@@ -303,17 +303,30 @@ def test_c9_operation_count():
         ts = float(P.thr_series)
         r1 = float(P.R1)
         r2 = float(P.R2)
-        pts = {
-            Region.ZERO: (1.0, 1.0 + s + 1.0),
-            Region.SMALL_T: (float(P.eps) * 0.25, 1.0),
-            Region.FORM1_GL: (s / 4, s / 4),
-            Region.SERIES: (ts + 5.0, r1 / 2),
-            Region.FORM2_UNIFORM: (d + 3.0, 1.0),
-            Region.FORM2_JACOBI: (s, r2 + 1.0),
-            Region.FORM3_GL: (s, r2 / 2),
-        }
+        pts = [
+            (Region.ZERO, (1.0, 1.0 + s + 1.0)),
+            (Region.SMALL_T, (float(P.eps) * 0.25, 1.0)),
+            (Region.FORM1_GL, (s / 4, s / 4)),
+            (Region.SERIES, (ts + 5.0, r1 / 2)),
+            (Region.FORM2_UNIFORM, (d + 3.0, 1.0)),
+            (Region.FORM2_JACOBI, (s, r2 + 1.0)),
+            (Region.FORM3_GL, (s, r2 / 2)),
+        ]
+        # one point inside each node class: Form1GL between its r edges,
+        # Form2Jacobi between its crop-span edges, t + r above thr_sum
+        tb = ev.tables
+        r_edges = [0.0, *map(float, tb.f1_edges), s]
+        for lo, hi in zip(r_edges, r_edges[1:]):
+            r = (lo + hi) / 2
+            pts.append((Region.FORM1_GL, ((s - r) / 2, r)))
+        h = float(P.H)
+        s_edges = [0.0, *map(float, tb.gj_edges), d + h]
+        for lo, hi in zip(s_edges, s_edges[1:]):
+            dd = (lo + hi) / 2 - h
+            r = max((s - dd) / 2 + 0.5, r2 + 0.5)
+            pts.append((Region.FORM2_JACOBI, (r + dd, r)))
         top = 0
-        for region, (t, r) in pts.items():
+        for region, (t, r) in pts:
             assert ev.classify(t, r) is region, (eps, region)
             top = max(top, ev.kernel_count(t, r))
         detail.append(f"eps {eps:g}: max {top} <= {budget}")

@@ -33,7 +33,7 @@ POINTS = {
 KERNELS = {
     Region.ZERO: 0,
     Region.SMALL_T: 1,
-    Region.FORM1_GL: 48,
+    Region.FORM1_GL: 14,
     Region.SERIES: 0,
     Region.FORM2_UNIFORM: 30,
     Region.FORM2_JACOBI: 96,
@@ -125,6 +125,34 @@ def test_kernel_counts_frozen(ev64, region):
     assert ev64.kernel_count(t, r) == KERNELS[region]
 
 
+# a point and its kernel calls for each node class at eps = 2e-16: Form1GL
+# by r, Form2Jacobi by the crop span t - r + H
+CLASS_KERNELS = {
+    (Region.FORM1_GL, 0): ((2.0, 1.0), 14),
+    (Region.FORM1_GL, 1): ((2.0, 2.0), 22),
+    (Region.FORM1_GL, 2): ((1.0, 4.0), 30),
+    (Region.FORM1_GL, 3): ((1.0, 6.0), 48),
+    (Region.FORM2_JACOBI, 0): ((20.0, 20.0), 60),
+    (Region.FORM2_JACOBI, 1): ((9.0, 5.0), 96),
+}
+
+
+@pytest.mark.parametrize("key", sorted(CLASS_KERNELS),
+                         ids=lambda k: f"{k[0].label}-{k[1]}")
+def test_class_kernel_counts_frozen(ev64, key):
+    from pulse2d import forms
+
+    region, k = key
+    (t, r), count = CLASS_KERNELS[key]
+    assert ev64.classify(t, r) is region
+    classes = (forms.form1_classes if region is Region.FORM1_GL
+               else forms.form2_jacobi_classes)
+    cls, widths = classes(ev64, np.array([t]), np.array([r]))
+    assert cls[0] == k
+    assert ev64.kernel_count(t, r) == count
+    assert count == widths[k] * (1 if region is Region.FORM1_GL else 2)
+
+
 def test_kernel_count_on_a_shared_evaluator_is_per_thread():
     # another thread evaluating Form3GL points must not leak into the count
     ev = PulseEvaluator(2e-16)
@@ -156,18 +184,21 @@ def any_ev(request, ev64):
     return PulseEvaluator(1e-30, backend=mp_backend(40))
 
 
-def test_evaluator_holds_params_and_read_only_tables(any_ev):
+def test_evaluator_holds_params_and_read_only_tables(any_ev, table_fields):
     assert set(vars(any_ev)) == {"backend", "params", "tables"}
     mp = any_ev.backend.dtype is object
     # one g table on both backends: float64 rows, or fixed-point integers
     # with g_frac fraction bits under mpmath
     assert (any_ev.tables.g_taylor.dtype == object) is mp
     assert (any_ev.tables.g_frac is None) is not mp
-    assert (any_ev.tables.gj_half_lo is None) is mp
-    for f in dataclasses.fields(any_ev.tables):
-        v = getattr(any_ev.tables, f.name)
+    for rule in any_ev.tables.gj:
+        assert (rule.half_lo is None) is mp
+        assert (rule.half26 is None) is mp
+    fields = dict(table_fields(any_ev.tables))
+    assert {"f1[3].cos", "gj[1].weights", "ax.cos"} <= set(fields)
+    for name, v in fields.items():
         if isinstance(v, np.ndarray):
-            assert not v.flags.writeable, f.name
+            assert not v.flags.writeable, name
     with pytest.raises(dataclasses.FrozenInstanceError):
         any_ev.tables.u_kh = None
 
@@ -179,6 +210,19 @@ def test_huge_points_classify_without_warnings():
         warnings.simplefilter("error")
         assert pulse2d.evaluate(1e308, 1e308).region is Region.FORM2_JACOBI
         assert pulse2d.classify(1e308, 1e308) is Region.FORM2_JACOBI
+
+
+@pytest.mark.parametrize("t", [1e306, 1.7e308])
+@pytest.mark.parametrize("r", [1.0, 1e3, 1e300])
+def test_far_field_at_huge_t_is_finite(t, r):
+    # -4 (kh)^2 t of the uniform grid overflows from about 5e305 on; the
+    # solution there is far below eps
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sol = pulse2d.evaluate(t, r)
+    assert sol.region is Region.FORM2_UNIFORM
+    assert math.isfinite(sol.p) and math.isfinite(sol.ur)
+    assert abs(sol.p) <= EPS_FLOOR and abs(sol.ur) <= EPS_FLOOR
 
 
 def _decide(t, r, P):
@@ -448,9 +492,6 @@ def test_block_boundaries_are_bit_identical(ev64, block_batch, budget,
         monkeypatch.setattr(dispatch, "_BLOCK_ELEMS", budget)
     t, r, codes = block_batch
     P = ev64.params
-    width = {Region.SMALL_T: 1, Region.SERIES: 1, Region.FORM2_UNIFORM: P.M2,
-             Region.FORM1_GL: P.M_f1, Region.FORM2_JACOBI: P.M_gj,
-             Region.FORM3_GL: P.M_ax}
     p, u, c = ev64.evaluate_arrays(t, r)
     assert np.array_equal(c, codes)
     # the same points grouped by region, so every block holds other rows
@@ -459,11 +500,23 @@ def test_block_boundaries_are_bit_identical(ev64, block_batch, budget,
     assert np.array_equal(ps, p[order])
     assert np.array_equal(us, u[order])
     # one point at a time around the first two block boundaries of each
-    # region and at its last point
-    for reg, w in width.items():
+    # (region, node class) and at its last point; a class's blocks hold
+    # _BLOCK_ELEMS // width rows, in the order of the batch
+    from pulse2d import forms
+
+    groups = []
+    for reg, w in ((Region.SMALL_T, 1), (Region.SERIES, 1),
+                   (Region.FORM2_UNIFORM, P.M2), (Region.FORM3_GL, P.M_ax)):
+        groups.append((reg, np.flatnonzero(codes == reg), w))
+    for reg, classes in ((Region.FORM1_GL, forms.form1_classes),
+                         (Region.FORM2_JACOBI, forms.form2_jacobi_classes)):
         idx = np.flatnonzero(codes == reg)
+        cls, widths = classes(ev64, t[idx], r[idx])
+        assert len(widths) >= 2
+        groups += [(reg, idx[cls == k], w) for k, w in enumerate(widths)]
+    for reg, idx, w in groups:
         rows = max(1, dispatch._BLOCK_ELEMS // w)
-        assert idx.size > 2 * rows
+        assert idx.size > 2 * rows, (reg, w)
         for k in (0, rows - 1, rows, 2 * rows - 1, 2 * rows, idx.size - 1):
             sol = ev64.evaluate(t[idx[k]], r[idx[k]])
             assert sol.region is reg

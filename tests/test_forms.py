@@ -6,37 +6,45 @@ import mpmath
 import numpy as np
 import pytest
 
+from pulse2d import forms
 from pulse2d.dispatch import Region, make_params
 from pulse2d.forms import (
-    _two_prod,
     _uniform_terms,
+    _veltkamp_hi,
+    form1_classes,
     form1_eval,
+    form2_jacobi_classes,
     form2_jacobi_eval,
     form2_uniform_eval,
     form3_eval,
     small_t_eval,
     zero_eval,
 )
-from pulse2d.numerics import mp_backend
+from pulse2d.numerics import FLOAT64, mp_backend
 
-# doubles nearest the frozen 22-digit oracle anchors
+# doubles nearest the frozen 22-digit oracle anchors.  The cases are named
+# by position in this order, so new anchors go at the end
 REF = {
-    (2.0, 1.0): (-0.111390122688882444818, 0.09834789895940712918726,
-                 Region.FORM1_GL),
     (0.5, 0.3): (0.7450615827142676124412, 0.121672822885250241892,
+                 Region.FORM1_GL),
+    (2.0, 1.0): (-0.111390122688882444818, 0.09834789895940712918726,
                  Region.FORM1_GL),
     (4.0, 4.9): (0.153398569281866984447, 0.166114179422174690125,
                  Region.FORM1_GL),
     (9.0, 5.0): (-0.02496484468674173477322, -0.01489495730571300082251,
                  Region.FORM2_JACOBI),
+    (9.2, 0.1): (-0.01226292193505599840484, -0.0001384620400538167730181,
+                 Region.FORM3_GL),
+    (30.0, 1.0): (-0.001116710860623739888577, -0.00003734889190295964099238,
+                  Region.FORM2_UNIFORM),
     (150.0, 148.0): (-0.01372128187457875818947, -0.01356630837631038393881,
                      Region.FORM2_JACOBI),
     (391.5, 380.0): (-0.0004752788659997030551111, -0.00046147704493288819005,
                      Region.FORM2_UNIFORM),
-    (30.0, 1.0): (-0.001116710860623739888577, -0.00003734889190295964099238,
-                  Region.FORM2_UNIFORM),
-    (9.2, 0.1): (-0.01226292193505599840484, -0.0001384620400538167730181,
-                 Region.FORM3_GL),
+    (390.0, 385.0): (-0.001764077986713359335733, -0.001743000912739617348426,
+                     Region.FORM2_JACOBI),
+    (8.82, 0.35): (-0.01342055005471566194366, -0.0005552729808392717917174,
+                   Region.FORM2_JACOBI),
 }
 
 _KERNELS = {
@@ -47,7 +55,7 @@ _KERNELS = {
 }
 
 
-@pytest.mark.parametrize("point", sorted(REF))
+@pytest.mark.parametrize("point", list(REF))
 def test_kernel_matches_reference(ev64, point):
     t, r = point
     p_ref, u_ref, region = REF[point]
@@ -83,15 +91,33 @@ def test_zero_region_is_justified(ev64):
         assert u[0] == 0.0
 
 
-def test_two_prod_exact():
-    rng = np.random.default_rng(7)
-    a = rng.uniform(-50, 50, 64)
-    b = rng.uniform(-50, 50, 64)
-    p, err = _two_prod(a, b)
-    for i in range(64):
-        exact = mpmath.fmul(float(a[i]), float(b[i]), exact=True)
-        with mpmath.workdps(40):
-            assert mpmath.mpf(float(p[i])) + mpmath.mpf(float(err[i])) == exact
+def _has_26_bits(v):
+    return all((math.frexp(x)[0] * 2.0 ** 26).is_integer() for x in v)
+
+
+def test_half_node_split_is_exact(ev64):
+    # Form2Jacobi's span * half node: the 26-bit leading parts multiply
+    # exactly, and half26 + half_lo carries the 40-digit node up to the
+    # rounding of half_lo, at most 2**-53 |half_lo| <= 2**-80 of the node
+    from pulse2d.quadrature import gauss_jacobi_m12
+
+    ss = np.random.default_rng(7).uniform(0, 2.2 * float(ev64.params.H),
+                                          2000)
+    s_hi = _veltkamp_hi(ss)
+    assert _has_26_bits(s_hi)
+    src = mp_backend(40)
+    for rule in ev64.tables.gj:
+        h26 = rule.half26
+        assert _has_26_bits(h26)
+        with src.workprec():
+            gj = gauss_jacobi_m12(rule.width, src)
+            for a, b, x in zip(h26, rule.half_lo, (gj.nodes + 1) / 2):
+                rel = abs(mpmath.mpf(float(a)) + mpmath.mpf(float(b)) - x) / x
+                assert rel <= 2.0 ** -79, (float(x), float(rel))
+        prod = s_hi[:, None] * h26
+        for a, row in zip(s_hi.tolist(), prod.tolist()):
+            for b, ab in zip(h26.tolist(), row):
+                assert mpmath.fmul(a, b, exact=True) == ab
 
 
 def test_uniform_terms_match_mp(ev64):
@@ -131,24 +157,167 @@ def test_form2_regions_need_no_negative_shift():
         assert P.thr_sum > P.H, eps
 
 
+def _aliasing_bound(n, r, H):
+    """2 int_0^inf k exp(-k^2/2) |J_{n-1}(k r)| dk: what the n-point diameter
+    mean at radius r can miss at any t.  The rule aliases the Fourier
+    coefficients n -+ 1 of g(t + r cos theta), each at most the integral
+    with |J_{n-+1}|.  Past K the weight leaves (eps/2) e^-30."""
+    from scipy.special import jv
+
+    k = np.linspace(0.0, math.sqrt(H * H + 60), 2001)
+    return 2 * np.trapezoid(k * np.exp(-k * k / 2) * np.abs(jv(n - 1, k * r)),
+                            k)
+
+
+def _sweep_params():
+    for eps in _SWEEP_EPS:
+        yield make_params(eps)
+    yield make_params(1e-30, mp_backend(40))
+    yield make_params(1e-40, mp_backend(50))
+
+
 def test_diameter_mean_node_law():
     # N_f1 = 2 M_f1 - 2 is the smallest N = 2 mod 4 with N >= 1.2 thr_sum H.
     # A dense sweep along Form1GL's edges, seam strip included, read a
     # quadrature error of at most 0.001 eps at 2e-16 and below it at 1e-20
-    # to 1e-40, against N - 4 at 0.02 eps (2e-16).  The axis band keeps
-    # N_ax = 10 at every eps: its error goes like R2^10 = 5^10 eps, and the
-    # sweep read at most 1.3e-4 eps.
-    cases = [(e, None) for e in _SWEEP_EPS]
-    cases += [(1e-30, mp_backend(40)), (1e-40, mp_backend(50))]
-    for eps, bk in cases:
-        P = make_params(eps) if bk is None else make_params(eps, bk)
+    # to 1e-40, against N - 4 at 0.02 eps (2e-16).  Each lower Form1GL
+    # class takes the smallest N = 2 mod 4 at or above its share of N_f1,
+    # and up to its edge the aliasing bound stays below eps/100 (checked on
+    # every 20th eps of the sweep; the errors measured at the edges read
+    # about 1e-3 eps from 2e-16 to 1e-40).  The axis band keeps N_ax = 10
+    # at every eps: its error goes like R2^10 = 5^10 eps, and the sweep
+    # read at most 1.3e-4 eps.
+    for i, P in enumerate(_sweep_params()):
+        bk = mp_backend(50) if isinstance(P.eps, mpmath.mpf) else None
+        eps, H = float(P.eps), float(P.H)
+        bound = i % 20 == 0 or bk is not None
         n = 2 * P.M_f1 - 2
-        law = 1.2 * float(P.thr_sum) * float(P.H)
+        law = 1.2 * float(P.thr_sum) * H
         assert n % 4 == 2 and law <= n < law + 4, eps
         assert P.M_ax == 6, eps
+        widths, edges, _, _ = forms._ladders(P, bk or FLOAT64)
+        assert widths[-1] == P.M_f1 and len(widths) == len(edges) + 1
+        prev = 0.0
+        for m, q, e in zip(widths, forms._F1_SHARES, edges):
+            nk = 2 * m - 2
+            assert nk % 4 == 2 and q * n <= nk < q * n + 4, eps
+            assert prev < float(e) < float(P.thr_sum), eps
+            assert not bound or _aliasing_bound(nk, float(e), H) <= eps / 100, \
+                (eps, nk)
+            prev = float(e)
     assert make_params(2e-16).M_f1 == 48
     assert make_params(1e-30, mp_backend(40)).M_f1 == 90
     assert make_params(1e-40, mp_backend(50)).M_f1 == 118
+
+
+def test_gauss_jacobi_class_law():
+    # each lower Form2Jacobi class takes ceil(share * M_gj) nodes, and its
+    # edge is the span fraction f at which M_gj (1 + 3 f) / 4 equals them.
+    # A lower class never reaches the small r of the band: there t + r >=
+    # thr_sum needs r >= (thr_sum + H - span) / 2, so the branch point
+    # c = -1 - 4 r / span stays 1.5 or more below the interval
+    for P in _sweep_params():
+        bk = mp_backend(50) if isinstance(P.eps, mpmath.mpf) else FLOAT64
+        eps = float(P.eps)
+        _, _, widths, edges = forms._ladders(P, bk)
+        assert widths[-1] == P.M_gj and len(widths) == len(edges) + 1
+        full = float(P.thr_diff + P.H)
+        prev = 0.0
+        for m, q, e in zip(widths, forms._GJ_SHARES, edges):
+            f = float(e) / full
+            assert m == math.ceil(q * P.M_gj), eps
+            assert abs(P.M_gj * (1 + 3 * f) / 4 - m) < 1e-9 * m, eps
+            assert prev < f < 1, eps
+            r_min = (float(P.thr_sum + P.H) - float(e)) / 2
+            assert 4 * r_min / float(e) >= 1.5, eps
+            prev = f
+    assert forms._ladders(make_params(2e-16), FLOAT64)[2] == [30, 48]
+
+
+def _fake(ev, **rules):
+    """ev with some RuleTables fields replaced."""
+    import dataclasses
+    import types
+
+    return types.SimpleNamespace(
+        backend=ev.backend, params=ev.params,
+        tables=dataclasses.replace(ev.tables, **rules))
+
+
+@pytest.mark.parametrize("eps,dps", [(2e-16, 30), (1e-30, 40), (1e-40, 50)])
+def test_node_classes_meet_eps_at_their_edges(eps, dps):
+    # quadrature error alone, in mpmath: each lower class at its edge
+    # against a rule of twice the nodes.  Form1GL along the whole t range
+    # of its edge radius read 3e-4 to 9e-4 eps; Form2Jacobi at its edge
+    # span, from the band's smallest r to 1000, read below 1e-7 eps
+    from pulse2d.dispatch import PulseEvaluator
+
+    em = PulseEvaluator(eps, backend=mp_backend(dps))
+    bk, P, tb = em.backend, em.params, em.tables
+    s = float(P.thr_sum)
+    with bk.workprec():
+        for k, e in enumerate(tb.f1_edges):
+            ref = _fake(em, f1=(forms._diameter_rule(2 * tb.f1[k].width + 2,
+                                                     bk, bk, True),))
+            t = bk.asarray(list(np.linspace(1e-3, s - float(e) - 1e-3, 24)))
+            r = bk.asarray([e] * 24)
+            p, u = form1_eval(em, t, r, k)
+            pr, ur = form1_eval(ref, t, r, 0)
+            err = max(abs(a - b) for a, b in zip([*p, *u], [*pr, *ur]))
+            assert err <= eps / 100, ("Form1GL", k, float(err) / eps)
+        ref = _fake(em, gj=(forms._jacobi_rule(2 * P.M_gj, bk, True),))
+        for k, e in enumerate(tb.gj_edges):
+            d = e - P.H
+            r = bk.asarray(list(np.geomspace((s - float(d)) / 2 + 1e-9,
+                                             1000.0, 24)))
+            t = r + d
+            assert all(em.classify(a, b) is Region.FORM2_JACOBI
+                       for a, b in zip(t, r))
+            p, u = form2_jacobi_eval(em, t, r, k)
+            pr, ur = form2_jacobi_eval(ref, t, r, 0)
+            err = max(abs(a - b) for a, b in zip([*p, *u], [*pr, *ur]))
+            assert err <= eps / 100, ("Form2Jacobi", k, float(err) / eps)
+
+
+def test_neighbouring_node_classes_agree(ev64):
+    # c3's rule across each class edge: on a +-0.02 strip the two classes
+    # that meet there agree within 2 eps (r for Form1GL, the crop span
+    # t - r + H for Form2Jacobi)
+    P, tb = ev64.params, ev64.tables
+    s, H = float(P.thr_sum), float(P.H)
+    rng = np.random.default_rng(17)
+    tol = 2 * float(P.eps)
+    w = 0.02
+    for k, e in enumerate(tb.f1_edges):
+        r = e + rng.uniform(-w, w, 120)
+        t = (s - r) * rng.uniform(0.0, 0.999, 120)
+        pa, ua = form1_eval(ev64, t, r, k)
+        pb, ub = form1_eval(ev64, t, r, k + 1)
+        dev = max(np.max(np.abs(pa - pb)), np.max(np.abs(ua - ub)))
+        assert dev <= tol, ("Form1GL", k, dev)
+    for k, e in enumerate(tb.gj_edges):
+        d = e - H + rng.uniform(-w, w, 120)
+        r = np.exp(rng.uniform(math.log((s - d.min()) / 2 + 1e-6),
+                               math.log(400.0), 120))
+        t = r + d
+        assert np.all(ev64.classify_codes(t, r) == Region.FORM2_JACOBI)
+        pa, ua = form2_jacobi_eval(ev64, t, r, k)
+        pb, ub = form2_jacobi_eval(ev64, t, r, k + 1)
+        dev = max(np.max(np.abs(pa - pb)), np.max(np.abs(ua - ub)))
+        assert dev <= tol, ("Form2Jacobi", k, dev)
+
+
+def test_node_class_follows_the_edges(ev64):
+    # a point exactly on an edge takes the class below it; one ulp past,
+    # the class above, in a batch and one point at a time alike
+    tb = ev64.tables
+    for k, e in enumerate(tb.f1_edges):
+        r = np.array([e, np.nextafter(e, np.inf)])
+        t = 0.5 * (float(ev64.params.thr_sum) - r)
+        assert form1_classes(ev64, t, r)[0].tolist() == [k, k + 1]
+        for i in (0, 1):
+            assert ev64.kernel_count(t[i], r[i]) == tb.f1[k + i].width
+    assert form1_classes(ev64, t, r)[1] == (14, 22, 30, 48)
 
 
 def _crop_seam_points(P):
@@ -171,30 +340,72 @@ def _crop_seam_points(P):
     return t, r
 
 
+def _error_in_eps(ev64, t, r, p, u):
+    """max(|dp|, |du_r|) of float64 outputs against a 1e-30 evaluator in
+    40 digits, in units of ev64's eps."""
+    from pulse2d.dispatch import PulseEvaluator
+
+    em = PulseEvaluator(1e-30, backend=mp_backend(40))
+    pm, um, _ = em.evaluate_arrays(list(t), list(r))
+    with em.backend.workprec():
+        err = np.array([max(abs(a - mpmath.mpf(float(b))),
+                            abs(c - mpmath.mpf(float(d))))
+                        for a, b, c, d in zip(pm, p, um, u)], dtype=float)
+    return err / float(ev64.eps)
+
+
 def test_float64_crop_seams_meet_eps(ev64):
     # float64 against a 1e-30 evaluator.  Form3GL, the diameter mean of the
     # axis pressure, reads about 0.012 eps here, its limit of 1 eps being
     # the evaluator's own claim; Form2Jacobi reads about 0.12 eps and its
     # tighter limit guards its node count.
-    from pulse2d.dispatch import PulseEvaluator
-
     t, r = _crop_seam_points(ev64.params)
     p, u, codes = ev64.evaluate_arrays(t, r)
     n3 = int(np.count_nonzero(codes == Region.FORM3_GL))
     assert n3 == 400
     assert np.count_nonzero(codes == Region.FORM2_JACOBI) == t.size - n3
-    em = PulseEvaluator(1e-30, backend=mp_backend(40))
-    pm, um, _ = em.evaluate_arrays(list(t), list(r))
-    eps = float(ev64.eps)
-    with em.backend.workprec():
-        err = np.array([max(abs(a - mpmath.mpf(float(b))),
-                            abs(c - mpmath.mpf(float(d))))
-                        for a, b, c, d in zip(pm, p, um, u)], dtype=float)
-    err /= eps
+    err = _error_in_eps(ev64, t, r, p, u)
     for region, limit in ((Region.FORM3_GL, 1.0), (Region.FORM2_JACOBI, 0.25)):
         sel = np.flatnonzero(codes == region)
         k = sel[np.argmax(err[sel])]
         assert err[k] <= limit, (region.label, t[k], r[k], err[k])
+
+
+def _form2_jacobi_stress_points(P):
+    """Form2Jacobi points where rounding span * (eta + 1)/2 costs most."""
+    H, r2, s = float(P.H), float(P.R2), float(P.thr_sum)
+    rng = np.random.default_rng(15)
+    n = 100
+    # the deep edge, t - r in [H, 1.15 H], the largest spans of the band
+    # (and t + r above thr_sum, which small r needs)
+    r_e = np.geomspace(1.01 * r2, 380.0, n)
+    lo = np.maximum(H, s + 1e-3 - 2 * r_e)
+    t_e = r_e + lo + (1.15 * H - lo) * rng.uniform(0, 1, n)
+    # the near-field seam at small r, t + r just above thr_sum
+    r_s = np.exp(rng.uniform(math.log(1.01 * r2), math.log(2.0), n))
+    t_s = s - r_s + rng.uniform(1e-3, 0.1, n)
+    # the front t ~ r at large t
+    t_f = rng.uniform(100.0, 391.0, n)
+    r_f = t_f + rng.uniform(-3.0, 3.0, n)
+    return np.concatenate([t_e, t_s, t_f]), np.concatenate([r_e, r_s, r_f])
+
+
+def test_float64_form2_jacobi_stress_meets_eps(ev64):
+    # float64 against a 1e-30 evaluator in 40 digits.  Over seven random
+    # draws of these families the split product read at most 0.11-0.15
+    # eps, and a 90th percentile of 0.06-0.08 eps on the edge and seam
+    # points.  The plain product span * half rounds by up to eps/2 of the
+    # span at the integrand peak: it read a maximum of 0.20-0.30 eps,
+    # which the maximum alone catches on only some draws, and a 90th
+    # percentile of 0.13-0.15 eps, which catches it on every draw.
+    t, r = _form2_jacobi_stress_points(ev64.params)
+    p, u, codes = ev64.evaluate_arrays(t, r)
+    assert np.all(codes == Region.FORM2_JACOBI)
+    err = _error_in_eps(ev64, t, r, p, u)
+    k = int(np.argmax(err))
+    assert err[k] <= 0.25, (t[k], r[k], err[k])
+    q90 = np.percentile(err[:2 * t.size // 3], 90)    # edge and seam
+    assert q90 <= 0.1, q90
 
 
 def test_float64_form1_and_axis_band_meet_eps(ev64):
@@ -203,7 +414,6 @@ def test_float64_form1_and_axis_band_meet_eps(ev64):
     # summed 48 Gauss nodes of four Bessel/trig calls with np.sum; the
     # diameter mean reads about 0.5 eps
     from pulse2d.diagnostics import stratified_sample
-    from pulse2d.dispatch import PulseEvaluator
 
     parts = [stratified_sample(ev64, 7 * 334, seed=seed)
              for seed in (301, 302, 303)]
@@ -214,13 +424,7 @@ def test_float64_form1_and_axis_band_meet_eps(ev64):
     t, r, codes = t[keep], r[keep], codes[keep]
     assert t.size >= 2000
     p, u, _ = ev64.evaluate_arrays(t, r)
-    em = PulseEvaluator(1e-30, backend=mp_backend(40))
-    pm, um, _ = em.evaluate_arrays(list(t), list(r))
-    with em.backend.workprec():
-        err = np.array([max(abs(a - mpmath.mpf(float(b))),
-                            abs(c - mpmath.mpf(float(d))))
-                        for a, b, c, d in zip(pm, p, um, u)], dtype=float)
-    err /= float(ev64.eps)
+    err = _error_in_eps(ev64, t, r, p, u)
     k = int(np.argmax(err))
     assert err[k] <= 1.0, (Region(int(codes[k])).label, t[k], r[k], err[k])
 

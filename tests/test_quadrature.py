@@ -1,7 +1,6 @@
 """LAPACK Golub-Welsch and Newton-refined rules, and the trapezoid-grid step
 law."""
 
-import dataclasses
 import math
 import sys
 import threading
@@ -175,7 +174,7 @@ def test_refined_rules_match_golub_welsch(dps, kind, m):
             assert abs(a - b) <= tol_w * abs(b)
 
 
-def test_float64_tables_match_golub_welsch_build(monkeypatch):
+def test_float64_tables_match_golub_welsch_build(monkeypatch, table_fields):
     # the double-precision evaluator rounds its hi/lo tables from 40-digit
     # rules: built by refinement or taken from mpmath.gauss_quadrature,
     # every bit must agree
@@ -190,30 +189,35 @@ def test_float64_tables_match_golub_welsch_build(monkeypatch):
     monkeypatch.setattr(quadrature, "_cache", {})
     monkeypatch.setattr(quadrature, "_newton_refine", mpmath_rule)
     ref = PulseEvaluator(2e-16)
-    tables = {f.name: getattr(new.tables, f.name)
-              for f in dataclasses.fields(new.tables)}
-    tables = {k: v for k, v in tables.items() if isinstance(v, np.ndarray)}
-    assert {"f1_cos", "f1_w", "f1_wc", "ax_cos", "ax_w", "ax_wc", "g_taylor",
-            "gj_nodes", "gj_weights", "gj_half", "gj_half_lo"} <= set(tables)
+    tables = {k: v for k, v in table_fields(new.tables)
+              if isinstance(v, np.ndarray)}
+    others = dict(table_fields(ref.tables))
+    names = {"f1_edges", "ax.cos", "ax.w", "ax.wc", "g_taylor", "gj_edges"}
+    for k in range(4):
+        names |= {f"f1[{k}].cos", f"f1[{k}].w", f"f1[{k}].wc"}
+    for k in range(2):
+        names |= {f"gj[{k}].nodes", f"gj[{k}].weights", f"gj[{k}].half",
+                  f"gj[{k}].half26", f"gj[{k}].half_lo"}
+    assert names <= set(tables)
     for name, arr in tables.items():
-        other = getattr(ref.tables, name)
+        other = others[name]
         assert arr.dtype == other.dtype == np.float64, name
         assert arr.tobytes() == other.tobytes(), name
         assert not arr.flags.writeable, name
 
 
-def test_float64_tables_ignore_global_mpmath_precision():
+def test_float64_tables_ignore_global_mpmath_precision(table_fields):
     # a hi/lo split at the caller's mpmath precision would round every lo
     # part to about 17 bits under a 5-digit global setting
     ref = PulseEvaluator(2e-16).tables
     with mpmath.workdps(5):
-        low = PulseEvaluator(2e-16).tables
-    for f in dataclasses.fields(ref):
-        a, b = getattr(ref, f.name), getattr(low, f.name)
+        low = dict(table_fields(PulseEvaluator(2e-16).tables))
+    for name, a in table_fields(ref):
+        b = low[name]
         if isinstance(a, np.ndarray):
-            assert a.tobytes() == b.tobytes(), f.name
+            assert a.tobytes() == b.tobytes(), name
         else:
-            assert a == b, f.name
+            assert a == b, name
 
 
 @pytest.mark.parametrize("kind,moment", [
