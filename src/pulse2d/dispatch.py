@@ -16,26 +16,11 @@ crop radius H = sqrt(-2 ln(eps/2)):
      d. r <= R2            -> axis diameter mean      (Form3GL)
      e. else               -> cropped Gauss-Jacobi    (Form2Jacobi)
 
-Node counts: M2 = ceil(0.2 H^2) uniform pairs, M_gj = ceil(0.65 H^2)
-Gauss-Jacobi nodes for Form2Jacobi, M = floor(H^2) series terms.  Form1GL
-and Form3GL average the axis pressure over a diameter with the N-point
-periodic trapezoid rule, N = 2 mod 4, and take M_f1 = N_f1/2 + 1 and
-M_ax = N_ax/2 + 1 values of it per point: N_f1 is the smallest such N
-with N >= 1.2 * 1.05 H * H (94 at eps = 2e-16, 178 at 1e-30), and
-N_ax = 10 at every eps, since the axis band's trapezoid error goes like
-R2^10 = 5^10 eps.  A dense sweep along the regions' edges, seam strips
-included, puts the quadrature error of these counts below eps/100 from
-2e-16 to 1e-40.
-
-These are the worst cases.  Form1GL and Form2Jacobi also hold cheaper
-rules, each for the points of one node class: Form1GL's classes are
-ranges of r and take N = 26, 42, 58 or 94 nodes at 2e-16 (14 to 48 values
-of g); Form2Jacobi's are ranges of the crop span t - r + H and take 30
-or 48 nodes.  Each class edge comes from a law in H, and at its edge
-a class's quadrature error stays below eps/100 from 2e-16 to 1e-40
-(``forms._ladders``).  The class is a float comparison on (t, r), and
-every block of a kernel call holds points of one class.
-
+PrecisionParams holds the thresholds, M2 = ceil(0.2 H^2) uniform pairs
+and M = floor(H^2) series terms.  The node counts and node classes of
+the quadrature kernels are owned by ``forms`` (its module docstring and
+``forms.rule_tables``).  ``region_eval`` splits a region's points into
+their node classes and runs the kernel on each class in blocks.
 M3 = ceil(0.71 H^2) + 1, the paper's common Gauss count, stays as the
 ceiling of the kernel-count budget.  Work per point is O(H^2) =
 O(ln(1/eps)); no iteration, no adaptivity.
@@ -47,7 +32,6 @@ the stratified sampler, the energy integral) live in ``diagnostics``.
 from __future__ import annotations
 
 import enum
-import functools
 import math
 from dataclasses import dataclass
 
@@ -58,7 +42,7 @@ from .numerics import FLOAT64, MPBackend, as_mask
 
 __all__ = ["Region", "PrecisionParams", "PulseSolution", "PulseEvaluator",
            "make_params", "evaluate", "evaluate_batch", "classify",
-           "EPS_FLOOR"]
+           "region_eval", "EPS_FLOOR"]
 
 # smallest eps honoured in double precision; coarser requests are clamped
 EPS_FLOOR = 2e-16
@@ -77,9 +61,6 @@ _MP_DIGIT_MARGIN = 4
 # and ran 1.4-1.7x slower.  Results do not depend on it: every reduction
 # is per row.
 _BLOCK_ELEMS = 2 ** 13
-
-# periodic trapezoid nodes of the axis-band diameter mean, at every eps
-_N_AX = 10
 
 
 class Region(enum.IntEnum):
@@ -120,9 +101,6 @@ class PrecisionParams:
     R2: object
     M2: int
     M3: int              # budget ceiling, not a node count of any kernel
-    M_f1: int            # Form1GL's top class: values of g, N_f1/2 + 1
-    M_ax: int            # Form3GL values of g per point, N_ax/2 + 1 = 6
-    M_gj: int            # Form2Jacobi's top class: Gauss-Jacobi nodes
     M: int
     h: object
     thr_sum: object      # 1.05 H
@@ -164,34 +142,61 @@ def make_params(eps, backend=FLOAT64) -> PrecisionParams:
         R2 = 5 * e ** (one / 10)
         M2 = bk.ceil_int(bk.scalar(0.2) * H_sq)
         M3 = bk.ceil_int(bk.scalar(0.71) * H_sq) + 1
-        thr_sum = bk.scalar(1.05) * H
-        # smallest N = 2 mod 4 with N >= 1.2 thr_sum H
-        n_f1 = 4 * bk.ceil_int((bk.scalar(1.2) * thr_sum * H - 2) / 4) + 2
-        M = bk.floor_int(H_sq)
         return PrecisionParams(
             eps=e, clamped=clamped, H=H, R1=R1, R2=R2, M2=M2, M3=M3,
-            M_f1=n_f1 // 2 + 1, M_ax=_N_AX // 2 + 1,
-            M_gj=bk.ceil_int(bk.scalar(0.65) * H_sq), M=M,
-            h=quadrature.uniform_step(M2, bk),
-            thr_sum=thr_sum,
+            M=bk.floor_int(H_sq), h=quadrature.uniform_step(M2, bk),
+            thr_sum=bk.scalar(1.05) * H,
             thr_diff=bk.scalar(1.152) * H,
             thr_series=bk.scalar(1.31) * H)
 
 
-# (region, kernel, node width: a PrecisionParams field or None for one
-# element per row, class function or None).  A class function splits the
-# region's points into node classes and gives each class's width; the
-# kernel then takes the class as k.  Zero has no kernel: the outputs start
-# at zero.
-_KERNELS = (
-    (Region.SMALL_T, forms.small_t_eval, None, None),
-    (Region.FORM1_GL, forms.form1_eval, None, forms.form1_classes),
-    (Region.SERIES, series.series_eval, None, None),
-    (Region.FORM2_UNIFORM, forms.form2_uniform_eval, "M2", None),
-    (Region.FORM2_JACOBI, forms.form2_jacobi_eval, None,
-     forms.form2_jacobi_classes),
-    (Region.FORM3_GL, forms.form3_eval, "M_ax", None),
-)
+# region: (kernel, class function or None).  A class function gives each
+# point's node class and the rule of each class, and the kernel takes the
+# rule.  Zero has no kernel: its outputs are zero.
+_KERNELS = {
+    Region.SMALL_T: (forms.small_t_eval, None),
+    Region.FORM1_GL: (forms.diameter_mean_eval, forms.form1_classes),
+    Region.SERIES: (series.series_eval, None),
+    Region.FORM2_UNIFORM: (forms.form2_uniform_eval, None),
+    Region.FORM2_JACOBI: (forms.form2_jacobi_eval, forms.form2_jacobi_classes),
+    Region.FORM3_GL: (forms.diameter_mean_eval, forms.form3_classes),
+}
+
+
+def region_eval(ev, region, t, r):
+    """(p, u_r) at 1-d backend arrays t, r of points of one region.
+
+    Splits the points into the region's node classes and runs its kernel
+    on each class present in blocks of ``_BLOCK_ELEMS // width`` rows, in
+    the order of the points.  The width is the class rule's; the uniform
+    grid's is its node count, and SmallT and Series take one element per
+    row.
+    """
+    bk = ev.backend
+    if region is Region.ZERO:
+        return bk.zeros(t.shape), bk.zeros(t.shape)
+    kernel, classes = _KERNELS[region]
+    # (rule argument, width, points or None for all of them) of each class
+    if classes is None:
+        width = ev.tables.u_kh.size if region is Region.FORM2_UNIFORM else 1
+        parts = [((), width, None)]
+    else:
+        cls, rules = classes(ev, t, r)
+        n = np.bincount(cls, minlength=len(rules))
+        parts = [((rule,), rule.width,
+                  None if n[k] == t.size else np.flatnonzero(cls == k))
+                 for k, rule in enumerate(rules) if n[k]]
+    if parts and parts[0][2] is None and t.size * parts[0][1] <= _BLOCK_ELEMS:
+        return kernel(ev, t, r, *parts[0][0])     # one block of every point
+    p = bk.zeros(t.shape)
+    u = bk.zeros(t.shape)
+    for rule, width, sub in parts:
+        sub = np.arange(t.size) if sub is None else sub
+        rows = max(1, _BLOCK_ELEMS // width)
+        for lo in range(0, sub.size, rows):
+            sel = sub[lo:lo + rows]
+            p[sel], u[sel] = kernel(ev, t[sel], r[sel], *rule)
+    return p, u
 
 
 class PulseEvaluator:
@@ -259,7 +264,6 @@ class PulseEvaluator:
         shape = t.shape
         tf = t.ravel()
         rf = r.ravel()
-        P = self.params
         # t + r overflows to inf beyond the largest double; the comparison
         # against thr_sum still classifies it right
         with bk.workprec(), np.errstate(all="ignore"):
@@ -267,22 +271,11 @@ class PulseEvaluator:
             counts = np.bincount(codes, minlength=len(Region))
             p = bk.zeros(tf.shape)
             u = bk.zeros(tf.shape)
-            for reg, fn, width, classes in _KERNELS:
-                if counts[reg] == 0:
-                    continue
-                idx = np.flatnonzero(codes == reg)
-                if classes is None:
-                    parts = [(fn, idx, getattr(P, width) if width else 1)]
-                else:
-                    cls, widths = classes(self, tf[idx], rf[idx])
-                    n = np.bincount(cls, minlength=len(widths))
-                    parts = [(functools.partial(fn, k=k), idx[cls == k], w)
-                             for k, w in enumerate(widths) if n[k]]
-                for kernel, sub, w in parts:
-                    rows = max(1, _BLOCK_ELEMS // w)
-                    for lo in range(0, sub.size, rows):
-                        sel = sub[lo:lo + rows]
-                        p[sel], u[sel] = kernel(self, tf[sel], rf[sel])
+            # Zero points keep their zeros
+            for reg in _KERNELS:
+                if counts[reg]:
+                    idx = np.flatnonzero(codes == reg)
+                    p[idx], u[idx] = region_eval(self, reg, tf[idx], rf[idx])
         return p.reshape(shape), u.reshape(shape), codes.reshape(shape)
 
     def evaluate(self, t, r) -> PulseSolution:
@@ -305,12 +298,7 @@ class PulseEvaluator:
 
     def kernel_count(self, t, r) -> int:
         """Kernel evaluations (exp/sqrt/axis-pressure values) for one point."""
-        forms._count.n = 0
-        try:
-            self.evaluate(t, r)
-            return forms._count.n
-        finally:
-            forms._count.n = None
+        return forms.count_kernel_evals(self.evaluate, t, r)
 
 
 def _pyscalar(v):

@@ -1,9 +1,10 @@
 """Quadrature evaluation kernels, one per dispatch region.
 
-Every function takes the evaluator (for its backend, precision parameters
+Every kernel takes the evaluator (for its backend, precision parameters
 and the RuleTables built here by ``rule_tables``) plus 1-d backend arrays
-t, r, and returns (p, u_r) arrays.  Every reduction is a per-row sum over
-the node axis, so a batched evaluation reproduces single-point results bit
+t, r, and returns (p, u_r) arrays; a kernel with node classes also takes
+the rule of its points' class.  Every reduction is a per-row sum over the
+node axis, so a batched evaluation reproduces single-point results bit
 for bit.
 
 The kernels use four integral representations.  Three are the paper's
@@ -19,24 +20,33 @@ The integrand is periodic and entire in theta, so the N-point periodic
 trapezoid rule converges geometrically (Trefethen & Weideman, SIAM Review
 56 (2014) 385); its error falls with N like J_N(omega r) at omega ~ H.
 
-Region conventions (H = crop radius, eps = target accuracy):
+Region conventions (H = crop radius, eps = target accuracy).  This module
+owns every node count and class edge (``_ladders``); each rule's
+``width`` is the values of g or nodes a point takes:
 
 * near field (t + r < 1.05 H, Form1GL): the diameter mean with N_f1 nodes,
-  N_f1 >= 1.2 * 1.05 H * H; M_f1 = N_f1/2 + 1 values of g per point.  Its
-  error grows with r only, so points up to three smaller radii take rules
-  of about 0.27, 0.44 and 0.61 N_f1 nodes (``_ladders``).
+  the smallest N = 2 mod 4 with N >= 1.2 * 1.05 H * H (94 at eps = 2e-16,
+  178 at 1e-30), so N_f1/2 + 1 values of g per point.  Its error grows
+  with r only, so points up to three smaller radii take rules of about
+  0.27, 0.44 and 0.61 N_f1 nodes.
 * axis band and deep axis strip (r <= R2 or r <= R1, Form3GL): the
-  diameter mean with N_ax = 10 nodes, 6 values of g: the trapezoid error
-  goes like r^N_ax, and R2 = 5 eps^(1/10).
+  diameter mean with N_ax = 10 nodes, 6 values of g, at every eps: the
+  trapezoid error goes like r^N_ax, and R2 = 5 eps^(1/10).
 * far field off axis (t - r > 1.152 H, r not tiny): midpoint-offset uniform
-  grid; the +-kh node pair is summed in a regularized closed form to kill
-  the subtractive cancellation near the front.
+  grid of M2 node pairs (``PrecisionParams.M2``); the +-kh node pair is
+  summed in a regularized closed form to kill the subtractive
+  cancellation near the front.
 * intermediate band: Gauss-Jacobi with weight (1+x)^(-1/2), after cropping
   the half-line at xi = (t + H)/r - 1 and absorbing the endpoint
-  singularity into the weight.  Points whose Gaussian spans at most about
-  half the largest crop take 5 M_gj/8 nodes instead of M_gj.  In double precision the Gaussian's argument
-  span * (eta + 1)/2 - (t - r) takes the product of 26-bit leading parts,
-  which is exact, so it rounds only relative to itself.
+  singularity into the weight; M_gj = ceil(0.65 H^2) nodes.  Points whose
+  Gaussian spans at most about half the largest crop take 5 M_gj/8 nodes
+  instead.  In double precision the Gaussian's argument span * (eta +
+  1)/2 - (t - r) takes the product of 26-bit leading parts, which is
+  exact, so it rounds only relative to itself.
+
+A dense sweep along the regions' edges, seam strips included, puts the
+quadrature error of the full counts below eps/100 from 2e-16 to 1e-40,
+and at its edge each cheaper class stays below eps/100 too.
 
 A node class is chosen by one float comparison on (t, r) alone, made the
 same way in a batch and for one point, so the two stay bit-identical.
@@ -61,9 +71,9 @@ from .quadrature import gauss_jacobi_m12
 from .specfun import TAYLOR_STEP_BITS, axis_pressure_rows, axis_pressure_taylor
 
 __all__ = ["RuleTables", "DiameterRule", "JacobiRule", "rule_tables",
-           "G_MAX", "form1_classes", "form1_eval", "form2_uniform_eval",
-           "form2_jacobi_classes", "form2_jacobi_eval", "form3_eval",
-           "small_t_eval", "zero_eval"]
+           "G_MAX", "count_kernel_evals", "diameter_mean_eval",
+           "form1_classes", "form3_classes", "form2_uniform_eval",
+           "form2_jacobi_classes", "form2_jacobi_eval", "small_t_eval"]
 
 # largest |t + r cos theta| of the double-precision axis-pressure table.  It
 # covers the deep axis strip, |s| <= 1.31 H + R1, with the 0.02 and 1.02 R1
@@ -115,9 +125,9 @@ class RuleTables:
     Form1GL and Form2Jacobi each hold a ladder of rules, fewest nodes first,
     and the edges of their node classes: a point takes the first class
     whose edge is at or above its r (Form1GL) or its crop span t - r + H
-    (Form2Jacobi), and the last class, today's full rule (M_f1 values of g,
-    M_gj nodes), takes the rest.  In double precision the cosines and the
-    Gauss-Jacobi tables are rounded from 40 digits.
+    (Form2Jacobi), and the last class, the full rule, takes the rest.  In
+    double precision the cosines and the Gauss-Jacobi tables are rounded
+    from 40 digits.
 
     ``g_taylor`` holds the Taylor polynomials of the axis pressure g at the
     centres j / 32, one row per coefficient, from one builder
@@ -128,7 +138,7 @@ class RuleTables:
     """
     f1: tuple                       # Form1GL: DiameterRule per class
     f1_edges: np.ndarray            # largest r of each class but the last
-    ax: DiameterRule                # Form3GL: N_ax nodes
+    ax: DiameterRule                # Form3GL: _N_AX nodes
     g_taylor: np.ndarray            # Taylor rows of g, float64 or int
     g_frac: int | None              # fraction bits of the integer rows
     gj: tuple                       # Form2Jacobi: JacobiRule per class
@@ -216,6 +226,8 @@ _F1_SLACK = 8.0
 # M_gj (0.12 + 0.88 f) up to f = 0.8; at the class edges the law's counts
 # read below 1e-7 eps.
 _GJ_SHARES = (0.625,)
+# periodic trapezoid nodes of the axis-band diameter mean, at every eps
+_N_AX = 10
 
 
 def _f1_edge(n, H):
@@ -228,17 +240,22 @@ def _f1_edge(n, H):
 
 
 def _ladders(P, bk):
-    """(f1 widths, f1 edges, gj widths, gj edges), fewest nodes first; the
-    last widths are M_f1 and M_gj, which take every point past the edges."""
-    n_f1 = 2 * P.M_f1 - 2
-    f1_n = [4 * math.ceil((q * n_f1 - 2) / 4) + 2 for q in _F1_SHARES]
-    H = float(P.H)
-    f1_edges = [bk.scalar(_f1_edge(n, H)) for n in f1_n]
-    gj_m = [math.ceil(q * P.M_gj) for q in _GJ_SHARES]
-    gj_edges = [bk.scalar(4 * m - P.M_gj) / (3 * P.M_gj) * (P.thr_diff + P.H)
-                for m in gj_m]
-    return ([n // 2 + 1 for n in f1_n] + [P.M_f1], bk.asarray(f1_edges),
-            gj_m + [P.M_gj], bk.asarray(gj_edges))
+    """(f1 widths, f1 edges, gj widths, gj edges), fewest nodes first, in
+    bk's working precision.  The last widths take every point past the
+    edges: N_f1/2 + 1 values of g, N_f1 the smallest N = 2 mod 4 with
+    N >= 1.2 thr_sum H, and M_gj = ceil(0.65 H^2) Gauss-Jacobi nodes."""
+    with bk.workprec():
+        n_f1 = 4 * bk.ceil_int((bk.scalar(1.2) * P.thr_sum * P.H - 2) / 4) + 2
+        H_sq = -2 * bk.log(P.eps / 2)
+        m_gj = bk.ceil_int(bk.scalar(0.65) * H_sq)
+        f1_n = [4 * math.ceil((q * n_f1 - 2) / 4) + 2 for q in _F1_SHARES]
+        H = float(P.H)
+        f1_edges = [bk.scalar(_f1_edge(n, H)) for n in f1_n]
+        gj_m = [math.ceil(q * m_gj) for q in _GJ_SHARES]
+        gj_edges = [bk.scalar(4 * m - m_gj) / (3 * m_gj) * (P.thr_diff + P.H)
+                    for m in gj_m]
+        return ([n // 2 + 1 for n in f1_n + [n_f1]], bk.asarray(f1_edges),
+                gj_m + [m_gj], bk.asarray(gj_edges))
 
 
 def _fixed_point_taylor(params, backend):
@@ -282,13 +299,12 @@ def rule_tables(params, backend) -> RuleTables:
     bk = backend
     mp = bk.dtype is object
     src = bk if mp else mp_backend(40)
-    with bk.workprec():
-        f1_m, f1_edges, gj_m, gj_edges = _ladders(P, bk)
+    f1_m, f1_edges, gj_m, gj_edges = _ladders(P, bk)
     # split at src's precision: the lo parts must not depend on the
     # caller's global mpmath precision
     with src.workprec():
         f1 = tuple(_diameter_rule(m, src, bk, mp) for m in f1_m)
-        ax = _diameter_rule(P.M_ax, src, bk, mp)
+        ax = _diameter_rule(_N_AX // 2 + 1, src, bk, mp)
         gj = tuple(_jacobi_rule(m, src, mp) for m in gj_m)
     g_taylor, g_frac = (_fixed_point_taylor(P, bk) if mp
                         else (axis_pressure_taylor(G_MAX), None))
@@ -304,13 +320,24 @@ def rule_tables(params, backend) -> RuleTables:
             inv_sqrt_2pi=1 / bk.sqrt(2 * bk.pi))
 
 
-# .n: kernel evaluations on this thread while kernel_count runs on it
+# .n: kernel evaluations on this thread while count_kernel_evals runs on it
 _count = threading.local()
 
 
 def _tick(n):
     if getattr(_count, "n", None) is not None:
         _count.n += n
+
+
+def count_kernel_evals(fn, *args):
+    """Kernel evaluations (exp/sqrt/axis-pressure values) that fn(*args)
+    makes on the calling thread; other threads' calls are not counted."""
+    _count.n = 0
+    try:
+        fn(*args)
+        return _count.n
+    finally:
+        _count.n = None
 
 
 # (x + _SIGMA) - _SIGMA rounds x to a multiple of 2**-45 while |x| < 64,
@@ -389,8 +416,9 @@ def _axis_pressure(ev, s):
     return acc
 
 
-def _diameter_mean(ev, t, r, rule):
-    """(p, u_r) from the diameter mean of g with a DiameterRule.
+def diameter_mean_eval(ev, t, r, rule):
+    """Near field (Form1GL) and axis band (Form3GL): (p, u_r) from the
+    diameter mean of g with a DiameterRule; u_r vanishes at r = 0.
 
     Pairs theta with pi - theta: s = t + r cos theta and t - r cos theta
     come from one product, so u_r sums the differences g(t - r c) -
@@ -408,31 +436,16 @@ def _diameter_mean(ev, t, r, rule):
             _row_sum(rule.wc * (gm - gp)) / rule.n)
 
 
-def _each_class(kernel, ev, t, r, cls):
-    """kernel(ev, t, r, k) on the points of each class k present."""
-    bk = ev.backend
-    p = bk.zeros(t.shape)
-    u = bk.zeros(t.shape)
-    for k in np.unique(cls):
-        sel = np.flatnonzero(cls == k)
-        p[sel], u[sel] = kernel(ev, t[sel], r[sel], int(k))
-    return p, u
-
-
 def form1_classes(ev, t, r):
-    """(class of each Form1GL point, values of g per point of each class):
-    the index of the first class edge at or above r."""
+    """(class of each Form1GL point, rule of each class): the index of the
+    first class edge at or above r."""
     tb = ev.tables
-    return (np.searchsorted(tb.f1_edges, r),
-            tuple(rule.width for rule in tb.f1))
+    return np.searchsorted(tb.f1_edges, r), tb.f1
 
 
-def form1_eval(ev, t, r, k=None):
-    """Near field (t + r < 1.05 H): the diameter mean with the rule of
-    class k, or of each point's own class if k is None."""
-    if k is None:
-        return _each_class(form1_eval, ev, t, r, form1_classes(ev, t, r)[0])
-    return _diameter_mean(ev, t, r, ev.tables.f1[k])
+def form3_classes(ev, t, r):
+    """Form3GL's one class: every point takes the N_ax-node rule."""
+    return np.zeros(t.shape, dtype=np.intp), (ev.tables.ax,)
 
 
 # -4 (kh)^2 t of the uniform grid overflows from about t = 5e305 on, and
@@ -484,17 +497,16 @@ def form2_uniform_eval(ev, t, r):
 
 
 def form2_jacobi_classes(ev, t, r):
-    """(class of each Form2Jacobi point, nodes of each class): the index of
+    """(class of each Form2Jacobi point, rule of each class): the index of
     the first class edge at or above the crop span t - r + H, formed as the
     kernel forms it."""
     tb = ev.tables
-    return (np.searchsorted(tb.gj_edges, (t - r) + ev.params.H),
-            tuple(rule.width for rule in tb.gj))
+    return np.searchsorted(tb.gj_edges, (t - r) + ev.params.H), tb.gj
 
 
-def form2_jacobi_eval(ev, t, r, k=None):
+def form2_jacobi_eval(ev, t, r, rule):
     """Intermediate-band evaluation: the cropped Gauss-Jacobi half-line sum
-    with the rule of class k, or of each point's own class if k is None.
+    with a JacobiRule.
 
     The substitution xi = b (eta + 1)/2 with crop width b = (t + H)/r - 1
     maps to [-1, 1]; the endpoint factor xi^(-1/2) becomes the rule weight
@@ -504,12 +516,8 @@ def form2_jacobi_eval(ev, t, r, k=None):
     working accuracy: near the front ahead, t - r + H <= 0 occurs.  At
     tau = -t it always holds, as t + r >= 1.05 H, so that half is skipped.
     """
-    if k is None:
-        return _each_class(form2_jacobi_eval, ev, t, r,
-                           form2_jacobi_classes(ev, t, r)[0])
     bk = ev.backend
     tb = ev.tables
-    rule = tb.gj[k]
     # window width t + H - r built from the small difference d = t - r;
     # forming r(1 + xi) - t directly would round at eps*t, which at the
     # grid extremes is two decades above the target accuracy
@@ -517,8 +525,7 @@ def form2_jacobi_eval(ev, t, r, k=None):
     span = d + ev.params.H
     live = as_mask(span > 0)
     if not live.any():
-        z = bk.zeros(t.shape)
-        return z, z
+        return bk.zeros(t.shape), bk.zeros(t.shape)
     ss = np.where(live, span, 1)
     b = ss / r
     c = -1 - 4 / b
@@ -548,12 +555,6 @@ def form2_jacobi_eval(ev, t, r, k=None):
             tb.inv_sqrt_2pi * np.where(live, q1, 0))
 
 
-def form3_eval(ev, t, r):
-    """Axis band and deep axis strip (r <= R2): the diameter mean at N_ax
-    nodes; u_r vanishes identically at r = 0."""
-    return _diameter_mean(ev, t, r, ev.tables.ax)
-
-
 def small_t_eval(ev, t, r):
     """Degenerate early-time limit: the initial pulse, O(eps) velocity.
 
@@ -563,9 +564,3 @@ def small_t_eval(ev, t, r):
     _tick(1)
     p = bk.exp(-(r * r) / 2)
     return p, (t * r) * p
-
-
-def zero_eval(ev, t, r):
-    """Ahead of the front beyond the crop radius: identically zero."""
-    bk = ev.backend
-    return bk.zeros(t.shape), bk.zeros(t.shape)

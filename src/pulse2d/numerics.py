@@ -9,13 +9,17 @@ primitives, constants and conversions; special functions live in
 
 mpmath arithmetic picks up the *global* working precision, so every entry
 point that does extended-precision work must run inside ``backend.workprec()``.
-The double backend's ``workprec`` is a no-op.
+That precision is one per process, not per thread, so an mpmath backend
+holds one process-wide lock while it has set it: threads evaluating under
+mpmath take turns (pure-Python mpmath holds the GIL anyway).  The double
+backend's ``workprec`` is a no-op.
 """
 
 from __future__ import annotations
 
 import math
-from contextlib import nullcontext
+import threading
+from contextlib import contextmanager, nullcontext
 
 import mpmath
 import numpy as np
@@ -69,6 +73,10 @@ class Float64Backend:
         return nullcontext()
 
 
+# held while an MPBackend has set mpmath's global precision
+_MP_LOCK = threading.RLock()
+
+
 class MPBackend:
     """Arbitrary-precision backend on mpmath (``dps`` decimal digits)."""
 
@@ -79,7 +87,7 @@ class MPBackend:
             raise ValueError("extended backend needs dps >= 20")
         self.dps = int(dps)
         self.key = f"mp{self.dps}"
-        with mpmath.workdps(self.dps):
+        with self.workprec():
             self.pi = +mpmath.pi
         self.exp = self._wrap(mpmath.exp)
         self.log = self._wrap(mpmath.log)
@@ -88,20 +96,19 @@ class MPBackend:
 
     def _wrap(self, fn):
         elementwise = np.frompyfunc(fn, 1, 1)
-        dps = self.dps
 
         def call(x):
-            with mpmath.workdps(dps):
+            with self.workprec():
                 return elementwise(x)
 
         return call
 
     def scalar(self, x):
-        with mpmath.workdps(self.dps):
+        with self.workprec():
             return mpmath.mpf(x)
 
     def asarray(self, x):
-        with mpmath.workdps(self.dps):
+        with self.workprec():
             a = np.asarray(x, dtype=object)
             flat = [v if isinstance(v, mpmath.mpf) else mpmath.mpf(v)
                     for v in a.ravel()]
@@ -115,11 +122,11 @@ class MPBackend:
         return out
 
     def ceil_int(self, x):
-        with mpmath.workdps(self.dps):
+        with self.workprec():
             return int(mpmath.ceil(x))
 
     def floor_int(self, x):
-        with mpmath.workdps(self.dps):
+        with self.workprec():
             return int(mpmath.floor(x))
 
     @staticmethod
@@ -127,8 +134,10 @@ class MPBackend:
         arr = np.asarray(x, dtype=object)
         return all(mpmath.isfinite(v) for v in arr.ravel())
 
+    @contextmanager
     def workprec(self):
-        return mpmath.workdps(self.dps)
+        with _MP_LOCK, mpmath.workdps(self.dps):
+            yield
 
 
 FLOAT64 = Float64Backend()

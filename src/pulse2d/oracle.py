@@ -70,7 +70,7 @@ def _edges(lo, hi, scale, du=0.7, cap=0.8):
     scale * ((s+d)^2 - s^2) = du is d = sqrt(s^2 + du/scale) - s.
     """
     if hi <= lo:
-        return [lo, hi] if hi > lo else [lo, lo]
+        return [lo, lo]
     edges = [lo]
     s = lo
     span_floor = (hi - lo) * 1e-9

@@ -167,13 +167,14 @@ def rule_cache_get(kind, m, backend=FLOAT64) -> GaussRule:
     key = (backend.key, kind, int(m))
     rule = _cache.get(key)
     if rule is None:
-        with _cache_lock:
+        # an mpmath backend's lock first, as every caller that holds both
+        # takes them: rule_tables builds its rules under workprec
+        with backend.workprec(), _cache_lock:
             rule = _cache.get(key)
             if rule is None:
                 rule = _golub_welsch(kind, int(m))
                 if backend.dtype is object:
-                    with backend.workprec():
-                        rule = _newton_refine(rule, backend)
+                    rule = _newton_refine(rule, backend)
                 _cache[key] = rule
     return rule
 

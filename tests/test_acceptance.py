@@ -18,19 +18,11 @@ import pytest
 
 from pulse2d.diagnostics import energy_integral, gauss_bound, \
     stratified_sample, trapezoid_bound
-from pulse2d.dispatch import PulseEvaluator, Region
-from pulse2d.forms import (
-    form1_eval,
-    form2_jacobi_eval,
-    form2_uniform_eval,
-    form3_eval,
-    zero_eval,
-)
+from pulse2d.dispatch import PulseEvaluator, Region, region_eval
 from pulse2d.numerics import mp_backend
 from pulse2d.oracle import in_reference, verify_on_lattice
 from pulse2d.quadrature import gauss_jacobi_m12, gauss_legendre, uniform_step
-from pulse2d.series import asymptotic_In, asymptotic_remainder_bound, \
-    series_eval
+from pulse2d.series import asymptotic_In, asymptotic_remainder_bound
 
 
 def _report(num, name, ok, detail):
@@ -77,9 +69,10 @@ def test_c3_region_boundary_agreement(ev64):
     tol = 2.0 * float(P.eps)
     worst = {}
 
-    def pair_dev(name, fa, fb, t, r):
-        pa0, pa1 = fa(ev64, t, r)
-        pb0, pb1 = fb(ev64, t, r)
+    def pair_dev(name, ra, rb, t, r):
+        # both regions' kernels at the same points, node classes included
+        pa0, pa1 = region_eval(ev64, ra, t, r)
+        pb0, pb1 = region_eval(ev64, rb, t, r)
         dev = max(np.max(np.abs(pa0 - pb0)), np.max(np.abs(pa1 - pb1)))
         worst[name] = dev
         return dev
@@ -93,38 +86,38 @@ def test_c3_region_boundary_agreement(ev64):
     frac = rng.uniform(0.15, 0.85, 120)
     r = u * frac
     t = u - r
-    pair_dev("1.05H", form1_eval, form2_jacobi_eval, t, r)
+    pair_dev("1.05H", Region.FORM1_GL, Region.FORM2_JACOBI, t, r)
 
     # r - t = 1.05 H seam: cropped zero vs the Jacobi band (80 pts)
     t = rng.uniform(0.5, 30.0, 80)
     r = t + s + rng.uniform(-w, w, 80)
-    pair_dev("1.05H-front", form2_jacobi_eval, zero_eval, t, r)
+    pair_dev("1.05H-front", Region.FORM2_JACOBI, Region.ZERO, t, r)
 
     # t - r = 1.152 H seam: Jacobi band vs the uniform far field (200 pts)
     r = np.exp(rng.uniform(math.log(2 * r1), math.log(40.0), 200))
     t = r + d + rng.uniform(-w, w, 200)
-    pair_dev("1.152H", form2_jacobi_eval, form2_uniform_eval, t, r)
+    pair_dev("1.152H", Region.FORM2_JACOBI, Region.FORM2_UNIFORM, t, r)
 
     # t = 1.31 H seam on the axis strip: moment form vs the series (200 pts)
     t = ts + rng.uniform(-w, w, 200)
     r = rng.uniform(0.0, r1, 200)
-    pair_dev("1.31H", form3_eval, series_eval, t, r)
+    pair_dev("1.31H", Region.FORM3_GL, Region.SERIES, t, r)
 
     # r = R1 seam deep behind the front (200 pts, both time sub-bands)
     t_lo = d + 2 * r1 + 1e-3
     t = np.concatenate([rng.uniform(t_lo, ts - w, 100),
                         rng.uniform(ts + w, ts + 40.0, 100)])
     r = r1 * (1.0 + rng.uniform(-0.02, 0.02, 200))
-    dev_a = pair_dev("R1-early", form3_eval, form2_uniform_eval,
+    dev_a = pair_dev("R1-early", Region.FORM3_GL, Region.FORM2_UNIFORM,
                      t[:100], r[:100])
-    dev_b = pair_dev("R1-late", series_eval, form2_uniform_eval,
+    dev_b = pair_dev("R1-late", Region.SERIES, Region.FORM2_UNIFORM,
                      t[100:], r[100:])
     worst["R1"] = max(dev_a, dev_b)
 
     # r = R2 seam in the intermediate band (200 pts)
     r = r2 * (1.0 + rng.uniform(-0.02, 0.02, 200))
     t = rng.uniform(s - 0.05, d + 0.05, 200)
-    pair_dev("R2", form3_eval, form2_jacobi_eval, t, r)
+    pair_dev("R2", Region.FORM3_GL, Region.FORM2_JACOBI, t, r)
 
     dev = max(worst.values())
     detail = ", ".join(f"{k} {v:.2e}" for k, v in sorted(worst.items()))

@@ -147,10 +147,10 @@ def test_class_kernel_counts_frozen(ev64, key):
     assert ev64.classify(t, r) is region
     classes = (forms.form1_classes if region is Region.FORM1_GL
                else forms.form2_jacobi_classes)
-    cls, widths = classes(ev64, np.array([t]), np.array([r]))
+    cls, rules = classes(ev64, np.array([t]), np.array([r]))
     assert cls[0] == k
     assert ev64.kernel_count(t, r) == count
-    assert count == widths[k] * (1 if region is Region.FORM1_GL else 2)
+    assert count == rules[k].width * (1 if region is Region.FORM1_GL else 2)
 
 
 def test_kernel_count_on_a_shared_evaluator_is_per_thread():
@@ -175,6 +175,53 @@ def test_kernel_count_on_a_shared_evaluator_is_per_thread():
         sys.setswitchinterval(old)
     assert not worker.is_alive()
     assert set(counts) == {KERNELS[Region.FORM1_GL]}
+
+
+def _in_threads(fn, args):
+    """[fn(*a) for a in args], each call on its own thread, started
+    together."""
+    out = [None] * len(args)
+    barrier = threading.Barrier(len(args))
+
+    def work(i):
+        barrier.wait()
+        out[i] = fn(*args[i])
+
+    threads = [threading.Thread(target=work, args=(i,), daemon=True)
+               for i in range(len(args))]
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=120)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(th.is_alive() for th in threads)
+    return out
+
+
+def test_shared_evaluator_is_thread_safe(ev64):
+    # four threads through one float64 evaluator and two through one
+    # mpmath evaluator must give what serial calls give, bit for bit.
+    # mpmath's working precision is global to the process: without the
+    # backend's lock, the thread that entered workprec first and left it
+    # first dropped the other to double precision mid-kernel.  The two
+    # mpmath batches cost about the same, so that order is the likely one
+    batches = [stratified_sample(ev64, 1400, seed=s)[:2] for s in range(4)]
+    serial = [ev64.evaluate_arrays(t, r) for t, r in batches]
+    for got, want in zip(_in_threads(ev64.evaluate_arrays, batches), serial):
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b)
+    em = PulseEvaluator(1e-30, backend=mp_backend(40))
+    pts = [([2.0, 9.2, 9.0], [1.0, 0.1, 5.0]),
+           ([0.5, 9.3, 8.0], [0.3, 0.12, 4.0])]
+    serial = [em.evaluate_arrays(t, r) for t, r in pts]
+    for _ in range(8):
+        for got, want in zip(_in_threads(em.evaluate_arrays, pts), serial):
+            for a, b in zip(got, want):
+                assert list(a) == list(b)
 
 
 @pytest.fixture(scope="module", params=["float64", "mp40"])
@@ -491,7 +538,6 @@ def test_block_boundaries_are_bit_identical(ev64, block_batch, budget,
     if budget is not None:
         monkeypatch.setattr(dispatch, "_BLOCK_ELEMS", budget)
     t, r, codes = block_batch
-    P = ev64.params
     p, u, c = ev64.evaluate_arrays(t, r)
     assert np.array_equal(c, codes)
     # the same points grouped by region, so every block holds other rows
@@ -500,23 +546,40 @@ def test_block_boundaries_are_bit_identical(ev64, block_batch, budget,
     assert np.array_equal(ps, p[order])
     assert np.array_equal(us, u[order])
     # one point at a time around the first two block boundaries of each
-    # (region, node class) and at its last point; a class's blocks hold
-    # _BLOCK_ELEMS // width rows, in the order of the batch
-    from pulse2d import forms
+    # (region, node class) and at its last point.  The blocks are those
+    # region_eval cuts: _BLOCK_ELEMS // width rows of one class, in the
+    # order of the batch
+    blocks = {}
 
+    def spy(reg, kernel):
+        def run(ev, tb, rb, *rule):
+            blocks.setdefault((reg, *map(id, rule)), []).append(tb.size)
+            return kernel(ev, tb, rb, *rule)
+        return run
+
+    with monkeypatch.context() as m:
+        m.setattr(dispatch, "_KERNELS",
+                  {reg: (spy(reg, fn), classes)
+                   for reg, (fn, classes) in dispatch._KERNELS.items()})
+        ev64.evaluate_arrays(t, r)
     groups = []
-    for reg, w in ((Region.SMALL_T, 1), (Region.SERIES, 1),
-                   (Region.FORM2_UNIFORM, P.M2), (Region.FORM3_GL, P.M_ax)):
-        groups.append((reg, np.flatnonzero(codes == reg), w))
-    for reg, classes in ((Region.FORM1_GL, forms.form1_classes),
-                         (Region.FORM2_JACOBI, forms.form2_jacobi_classes)):
+    for reg, (_, classes) in dispatch._KERNELS.items():
         idx = np.flatnonzero(codes == reg)
-        cls, widths = classes(ev64, t[idx], r[idx])
-        assert len(widths) >= 2
-        groups += [(reg, idx[cls == k], w) for k, w in enumerate(widths)]
-    for reg, idx, w in groups:
-        rows = max(1, dispatch._BLOCK_ELEMS // w)
-        assert idx.size > 2 * rows, (reg, w)
+        if classes is None:
+            groups.append(((reg,), idx, None))
+            continue
+        cls, rules = classes(ev64, t[idx], r[idx])
+        assert reg is Region.FORM3_GL or len(rules) >= 2
+        groups += [((reg, id(rule)), idx[cls == k], rule)
+                   for k, rule in enumerate(rules)]
+    for key, idx, rule in groups:
+        reg = key[0]
+        sizes = blocks[key]
+        rows = sizes[0]
+        assert sum(sizes) == idx.size and set(sizes[:-1]) == {rows}, reg
+        if rule is not None:
+            assert rows == max(1, dispatch._BLOCK_ELEMS // rule.width), reg
+        assert idx.size > 2 * rows, (reg, rows)
         for k in (0, rows - 1, rows, 2 * rows - 1, 2 * rows, idx.size - 1):
             sol = ev64.evaluate(t[idx[k]], r[idx[k]])
             assert sol.region is reg

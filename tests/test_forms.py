@@ -7,18 +7,14 @@ import numpy as np
 import pytest
 
 from pulse2d import forms
-from pulse2d.dispatch import Region, make_params
+from pulse2d.dispatch import Region, make_params, region_eval
 from pulse2d.forms import (
     _uniform_terms,
     _veltkamp_hi,
+    diameter_mean_eval,
     form1_classes,
-    form1_eval,
-    form2_jacobi_classes,
     form2_jacobi_eval,
-    form2_uniform_eval,
-    form3_eval,
     small_t_eval,
-    zero_eval,
 )
 from pulse2d.numerics import FLOAT64, mp_backend
 
@@ -47,21 +43,12 @@ REF = {
                    Region.FORM2_JACOBI),
 }
 
-_KERNELS = {
-    Region.FORM1_GL: form1_eval,
-    Region.FORM2_UNIFORM: form2_uniform_eval,
-    Region.FORM2_JACOBI: form2_jacobi_eval,
-    Region.FORM3_GL: form3_eval,
-}
-
-
 @pytest.mark.parametrize("point", list(REF))
 def test_kernel_matches_reference(ev64, point):
     t, r = point
     p_ref, u_ref, region = REF[point]
     assert ev64.classify(t, r) is region
-    fn = _KERNELS[region]
-    p, u = fn(ev64, np.array([t]), np.array([r]))
+    p, u = region_eval(ev64, region, np.array([t]), np.array([r]))
     # deterministic double roundoff stays within the 2e-16 accuracy target
     assert abs(p[0] - p_ref) < 2.5e-16, f"p off by {abs(p[0] - p_ref):.2e}"
     assert abs(u[0] - u_ref) < 2.5e-16, f"u off by {abs(u[0] - u_ref):.2e}"
@@ -86,7 +73,7 @@ def test_zero_region_is_justified(ev64):
     # both far below the 2e-16 absolute target
     for t, r in ((1.0, 30.0), (5.0, 16.0)):
         assert ev64.classify(t, r) is Region.ZERO
-        p, u = zero_eval(ev64, np.array([t]), np.array([r]))
+        p, u = region_eval(ev64, Region.ZERO, np.array([t]), np.array([r]))
         assert p[0] == 0.0
         assert u[0] == 0.0
 
@@ -177,7 +164,8 @@ def _sweep_params():
 
 
 def test_diameter_mean_node_law():
-    # N_f1 = 2 M_f1 - 2 is the smallest N = 2 mod 4 with N >= 1.2 thr_sum H.
+    # N_f1 = 2 m - 2, m the values of g of the top class, is the smallest
+    # N = 2 mod 4 with N >= 1.2 thr_sum H.
     # A dense sweep along Form1GL's edges, seam strip included, read a
     # quadrature error of at most 0.001 eps at 2e-16 and below it at 1e-20
     # to 1e-40, against N - 4 at 0.02 eps (2e-16).  Each lower Form1GL
@@ -191,12 +179,11 @@ def test_diameter_mean_node_law():
         bk = mp_backend(50) if isinstance(P.eps, mpmath.mpf) else None
         eps, H = float(P.eps), float(P.H)
         bound = i % 20 == 0 or bk is not None
-        n = 2 * P.M_f1 - 2
+        widths, edges, _, _ = forms._ladders(P, bk or FLOAT64)
+        n = 2 * widths[-1] - 2
         law = 1.2 * float(P.thr_sum) * H
         assert n % 4 == 2 and law <= n < law + 4, eps
-        assert P.M_ax == 6, eps
-        widths, edges, _, _ = forms._ladders(P, bk or FLOAT64)
-        assert widths[-1] == P.M_f1 and len(widths) == len(edges) + 1
+        assert len(widths) == len(edges) + 1
         prev = 0.0
         for m, q, e in zip(widths, forms._F1_SHARES, edges):
             nk = 2 * m - 2
@@ -205,14 +192,16 @@ def test_diameter_mean_node_law():
             assert not bound or _aliasing_bound(nk, float(e), H) <= eps / 100, \
                 (eps, nk)
             prev = float(e)
-    assert make_params(2e-16).M_f1 == 48
-    assert make_params(1e-30, mp_backend(40)).M_f1 == 90
-    assert make_params(1e-40, mp_backend(50)).M_f1 == 118
+    for eps, bk, m in ((2e-16, FLOAT64, 48), (1e-30, mp_backend(40), 90),
+                       (1e-40, mp_backend(50), 118)):
+        assert forms._ladders(make_params(eps, bk), bk)[0][-1] == m
+    assert forms._N_AX // 2 + 1 == 6
 
 
 def test_gauss_jacobi_class_law():
-    # each lower Form2Jacobi class takes ceil(share * M_gj) nodes, and its
-    # edge is the span fraction f at which M_gj (1 + 3 f) / 4 equals them.
+    # the top Form2Jacobi class takes M_gj = ceil(0.65 H^2) nodes, each
+    # lower class ceil(share * M_gj), and its edge is the span fraction f
+    # at which M_gj (1 + 3 f) / 4 equals them.
     # A lower class never reaches the small r of the band: there t + r >=
     # thr_sum needs r >= (thr_sum + H - span) / 2, so the branch point
     # c = -1 - 4 r / span stays 1.5 or more below the interval
@@ -220,28 +209,21 @@ def test_gauss_jacobi_class_law():
         bk = mp_backend(50) if isinstance(P.eps, mpmath.mpf) else FLOAT64
         eps = float(P.eps)
         _, _, widths, edges = forms._ladders(P, bk)
-        assert widths[-1] == P.M_gj and len(widths) == len(edges) + 1
+        m_gj = widths[-1]
+        law = 0.65 * float(P.H) ** 2
+        assert law <= m_gj < law + 1, eps
+        assert len(widths) == len(edges) + 1
         full = float(P.thr_diff + P.H)
         prev = 0.0
         for m, q, e in zip(widths, forms._GJ_SHARES, edges):
             f = float(e) / full
-            assert m == math.ceil(q * P.M_gj), eps
-            assert abs(P.M_gj * (1 + 3 * f) / 4 - m) < 1e-9 * m, eps
+            assert m == math.ceil(q * m_gj), eps
+            assert abs(m_gj * (1 + 3 * f) / 4 - m) < 1e-9 * m, eps
             assert prev < f < 1, eps
             r_min = (float(P.thr_sum + P.H) - float(e)) / 2
             assert 4 * r_min / float(e) >= 1.5, eps
             prev = f
     assert forms._ladders(make_params(2e-16), FLOAT64)[2] == [30, 48]
-
-
-def _fake(ev, **rules):
-    """ev with some RuleTables fields replaced."""
-    import dataclasses
-    import types
-
-    return types.SimpleNamespace(
-        backend=ev.backend, params=ev.params,
-        tables=dataclasses.replace(ev.tables, **rules))
 
 
 @pytest.mark.parametrize("eps,dps", [(2e-16, 30), (1e-30, 40), (1e-40, 50)])
@@ -257,15 +239,14 @@ def test_node_classes_meet_eps_at_their_edges(eps, dps):
     s = float(P.thr_sum)
     with bk.workprec():
         for k, e in enumerate(tb.f1_edges):
-            ref = _fake(em, f1=(forms._diameter_rule(2 * tb.f1[k].width + 2,
-                                                     bk, bk, True),))
+            ref = forms._diameter_rule(2 * tb.f1[k].width + 2, bk, bk, True)
             t = bk.asarray(list(np.linspace(1e-3, s - float(e) - 1e-3, 24)))
             r = bk.asarray([e] * 24)
-            p, u = form1_eval(em, t, r, k)
-            pr, ur = form1_eval(ref, t, r, 0)
+            p, u = diameter_mean_eval(em, t, r, tb.f1[k])
+            pr, ur = diameter_mean_eval(em, t, r, ref)
             err = max(abs(a - b) for a, b in zip([*p, *u], [*pr, *ur]))
             assert err <= eps / 100, ("Form1GL", k, float(err) / eps)
-        ref = _fake(em, gj=(forms._jacobi_rule(2 * P.M_gj, bk, True),))
+        ref = forms._jacobi_rule(2 * tb.gj[-1].width, bk, True)
         for k, e in enumerate(tb.gj_edges):
             d = e - P.H
             r = bk.asarray(list(np.geomspace((s - float(d)) / 2 + 1e-9,
@@ -273,8 +254,8 @@ def test_node_classes_meet_eps_at_their_edges(eps, dps):
             t = r + d
             assert all(em.classify(a, b) is Region.FORM2_JACOBI
                        for a, b in zip(t, r))
-            p, u = form2_jacobi_eval(em, t, r, k)
-            pr, ur = form2_jacobi_eval(ref, t, r, 0)
+            p, u = form2_jacobi_eval(em, t, r, tb.gj[k])
+            pr, ur = form2_jacobi_eval(em, t, r, ref)
             err = max(abs(a - b) for a, b in zip([*p, *u], [*pr, *ur]))
             assert err <= eps / 100, ("Form2Jacobi", k, float(err) / eps)
 
@@ -291,8 +272,8 @@ def test_neighbouring_node_classes_agree(ev64):
     for k, e in enumerate(tb.f1_edges):
         r = e + rng.uniform(-w, w, 120)
         t = (s - r) * rng.uniform(0.0, 0.999, 120)
-        pa, ua = form1_eval(ev64, t, r, k)
-        pb, ub = form1_eval(ev64, t, r, k + 1)
+        pa, ua = diameter_mean_eval(ev64, t, r, tb.f1[k])
+        pb, ub = diameter_mean_eval(ev64, t, r, tb.f1[k + 1])
         dev = max(np.max(np.abs(pa - pb)), np.max(np.abs(ua - ub)))
         assert dev <= tol, ("Form1GL", k, dev)
     for k, e in enumerate(tb.gj_edges):
@@ -301,8 +282,8 @@ def test_neighbouring_node_classes_agree(ev64):
                                math.log(400.0), 120))
         t = r + d
         assert np.all(ev64.classify_codes(t, r) == Region.FORM2_JACOBI)
-        pa, ua = form2_jacobi_eval(ev64, t, r, k)
-        pb, ub = form2_jacobi_eval(ev64, t, r, k + 1)
+        pa, ua = form2_jacobi_eval(ev64, t, r, tb.gj[k])
+        pb, ub = form2_jacobi_eval(ev64, t, r, tb.gj[k + 1])
         dev = max(np.max(np.abs(pa - pb)), np.max(np.abs(ua - ub)))
         assert dev <= tol, ("Form2Jacobi", k, dev)
 
@@ -314,10 +295,11 @@ def test_node_class_follows_the_edges(ev64):
     for k, e in enumerate(tb.f1_edges):
         r = np.array([e, np.nextafter(e, np.inf)])
         t = 0.5 * (float(ev64.params.thr_sum) - r)
-        assert form1_classes(ev64, t, r)[0].tolist() == [k, k + 1]
+        cls, rules = form1_classes(ev64, t, r)
+        assert cls.tolist() == [k, k + 1] and rules is tb.f1
         for i in (0, 1):
             assert ev64.kernel_count(t[i], r[i]) == tb.f1[k + i].width
-    assert form1_classes(ev64, t, r)[1] == (14, 22, 30, 48)
+    assert [rule.width for rule in tb.f1] == [14, 22, 30, 48]
 
 
 def _crop_seam_points(P):
@@ -465,9 +447,9 @@ def test_form1_mp_agreement(ev64):
     em = PulseEvaluator(2e-16, backend=mp_backend(30))
     for t, r in ((2.0, 1.0), (8.9, 0.05), (0.05, 8.9)):
         assert ev64.classify(t, r) is Region.FORM1_GL
-        p, u = form1_eval(ev64, np.array([t]), np.array([r]))
+        p, u = region_eval(ev64, Region.FORM1_GL, np.array([t]), np.array([r]))
         with em.backend.workprec():
-            pm, um = form1_eval(em, em.backend.asarray([t]),
-                                em.backend.asarray([r]))
+            pm, um = region_eval(em, Region.FORM1_GL, em.backend.asarray([t]),
+                                 em.backend.asarray([r]))
         assert abs(p[0] - float(pm[0])) < 3e-16
         assert abs(u[0] - float(um[0])) < 3e-16
