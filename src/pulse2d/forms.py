@@ -39,10 +39,12 @@ owns every node count and class edge (``_ladders``); each rule's
 * intermediate band: Gauss-Jacobi with weight (1+x)^(-1/2), after cropping
   the half-line at xi = (t + H)/r - 1 and absorbing the endpoint
   singularity into the weight; M_gj = ceil(0.65 H^2) nodes.  Points whose
-  Gaussian spans at most about half the largest crop take 5 M_gj/8 nodes
-  instead.  In double precision the Gaussian's argument span * (eta +
-  1)/2 - (t - r) takes the product of 26-bit leading parts, which is
-  exact, so it rounds only relative to itself.
+  Gaussian spans a smaller share of the largest crop take one of four
+  cheaper rules, of about M_gj/3, M_gj/2, 2 M_gj/3 and 5 M_gj/6 nodes (16,
+  24, 32 and 40 of 48 at eps = 2e-16).  In double precision the
+  Gaussian's argument span * (eta + 1)/2 - (t - r) takes the product of
+  26-bit leading parts, which is exact, so it rounds only relative to
+  itself.
 
 A dense sweep along the regions' edges, seam strips included, puts the
 quadrature error of the full counts below eps/100 from 2e-16 to 1e-40,
@@ -223,9 +225,12 @@ _F1_SLACK = 8.0
 # (thr_diff + H) of the cropped interval, and M = M_gj (1 + 3 f) / 4 nodes
 # meet eps/100 at every r of the band.  On a step-2 grid of M for f from
 # 0.05 to 1 at 2e-16, 1e-30 and 1e-40, the smallest M that does is at most
-# M_gj (0.12 + 0.88 f) up to f = 0.8; at the class edges the law's counts
-# read below 1e-7 eps.
-_GJ_SHARES = (0.625,)
+# M_gj (0.12 + 0.88 f) up to f = 0.8.  The shares give 16/24/32/40/48
+# nodes at 2e-16 and 31/46/61/76/91 at 1e-30; the upper two classes reach
+# the band's smallest r, where the branch point comes within 0.5 of the
+# interval, and there their edge counts read at most 8.1e-5 eps (2e-16).
+# Each share costs one cold 40-digit Gauss-Jacobi build.
+_GJ_SHARES = (1 / 3, 1 / 2, 2 / 3, 5 / 6)
 # periodic trapezoid nodes of the axis-band diameter mean, at every eps
 _N_AX = 10
 
@@ -532,25 +537,47 @@ def form2_jacobi_eval(ev, t, r, rule):
     eta = rule.nodes
     he = rule.half
     _tick(2 * eta.size)
+    # each step in place, into four (rows, nodes) buffers: a holds arg, w
+    # the weighted integrand base, v a temporary term, then sqrt(eta - c),
+    # then inv, and g the u_r integrand.  x * y and y * x round alike, so
+    # the results are those of the plain expressions
     if rule.half26 is None:
-        arg = ss[..., None] * he - d[..., None]
+        a = ss[..., None] * he
+        a -= d[..., None]
+        w = np.empty_like(a)
+        v = np.empty_like(a)
     else:
         # node and product roundings each shift arg by ~eps*d/2 right at
         # the integrand peak, where arg is small; s_hi * half26 is exact,
         # so arg rounds only relative to itself, plus ~2**-79 of the span
         s_hi = _veltkamp_hi(ss)
-        s_lo = (ss - s_hi)[..., None]
         h26 = rule.half26
-        arg = ((s_hi[..., None] * h26 - d[..., None])
-               + (s_lo * h26 + ss[..., None] * rule.half_lo))
-    gauss = bk.exp((arg * arg) * -0.5)
-    base = (rule.weights * gauss) / bk.sqrt(eta - c[..., None])
+        a = s_hi[..., None] * h26
+        a -= d[..., None]
+        w = (ss - s_hi)[..., None] * h26
+        v = ss[..., None] * rule.half_lo
+        w += v
+        a += w
+    # base = weights exp(-arg^2 / 2) / sqrt(eta - c)
+    np.multiply(a, a, out=w)
+    w *= -0.5
+    bk.exp(w, out=w)
+    w *= rule.weights
+    np.subtract(eta, c[..., None], out=v)
+    bk.sqrt(v, out=v)
+    w /= v
     # u_r integrand regularized: inv (arg + inv / r) with inv = 1/(1 + xi)
     # replaces the raw product, removing the front-crossing cancellation
-    inv = 1 / (1 + b[..., None] * he)
-    g1 = inv * (arg + inv / r[..., None])
-    q0 = np.sum(base * arg, axis=-1)
-    q1 = np.sum(base * g1, axis=-1)
+    np.multiply(b[..., None], he, out=v)
+    v += 1
+    np.divide(1, v, out=v)
+    g = v / r[..., None]
+    g += a
+    g *= v
+    a *= w
+    g *= w
+    q0 = np.sum(a, axis=-1)
+    q1 = np.sum(g, axis=-1)
     return (tb.inv_sqrt_2pi * np.where(live, q0, 0),
             tb.inv_sqrt_2pi * np.where(live, q1, 0))
 

@@ -5,7 +5,8 @@ the double backend maps onto numpy (vectorized, production) and the extended
 backend onto mpmath (element-wise, used for reference runs and for isolating
 algorithmic error from rounding error).  Backends supply transcendental
 primitives, constants and conversions; special functions live in
-``specfun``.
+``specfun``.  ``exp`` and ``sqrt`` take numpy's ``out=`` array on both
+backends, so a kernel can work in place with one code path.
 
 mpmath arithmetic picks up the *global* working precision, so every entry
 point that does extended-precision work must run inside ``backend.workprec()``.
@@ -97,9 +98,9 @@ class MPBackend:
     def _wrap(self, fn):
         elementwise = np.frompyfunc(fn, 1, 1)
 
-        def call(x):
+        def call(x, out=None):
             with self.workprec():
-                return elementwise(x)
+                return elementwise(x, out=out)
 
         return call
 

@@ -26,7 +26,6 @@ from __future__ import annotations
 import functools
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import mpmath
@@ -313,6 +312,10 @@ def _in_quadratures(t, dps):
 def _oracle_map(tt, rr, target_tol):
     """oracle_eval without the oscillatory route at each point, in order,
     from up to four processes."""
+    # imported here: multiprocessing costs every `import pulse2d` several
+    # ms, and only lattice checks use it
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(min(4, os.cpu_count() or 1)) as pool:
         yield from pool.map(oracle_eval, tt, rr, [target_tol] * len(tt),
                             [False] * len(tt), chunksize=8)

@@ -8,13 +8,16 @@ first components of the normalized eigenvectors (Golub & Welsch 1969).
 
 Extended-precision (mpmath) rules start from the float64 rule and refine
 each node by Newton steps on the orthonormal recurrence
-beta_{k+1} p_{k+1} = (x - a_k) p_k - beta_k p_{k-1}, with p' from the
-differentiated recurrence (after Hale & Townsend 2013 and Bogaert 2014);
-weights are 1 / sum_{k<m} p_k(x_i)^2, that sum taken from the
-Christoffel-Darboux identity.  The arithmetic is binary fixed
-point on Python integers with 32 guard bits, vectorized over the nodes:
-O(m^2) integer operations per step and three or four steps.  The tests
-compare the refined rules with mpmath.gauss_quadrature.
+beta_{k+1} p_{k+1} = (x - a_k) p_k - beta_k p_{k-1}, run for the values
+alone: p_m' comes from the Jacobi derivative identity (DLMF 18.9)
+(1 - x^2) p_m' = (c1 - m x) p_m + c3 p_{m-1} in orthonormal form, as in
+Hale & Townsend (SIAM J. Sci. Comput. 35 (2013) A652), and the weights
+are 1 / (beta_m p_m' p_{m-1}).  The recurrence coefficients are rational
+(both weights have alpha = 0, beta = 0 or -1/2), so the refinement takes
+them exactly, as integer pairs, and runs in binary fixed point on Python
+integers with 32 guard bits, vectorized over the nodes: O(m^2) integer
+operations per step and three or four steps.  The tests compare the
+refined rules with mpmath.gauss_quadrature.
 
 Gauss rules are deterministic, cached per (backend, kind, m), and marked
 read-only after construction.
@@ -22,6 +25,7 @@ read-only after construction.
 
 from __future__ import annotations
 
+import math
 import threading
 from dataclasses import dataclass
 
@@ -53,39 +57,47 @@ class GaussRule:
     mu0: object         # integral of the weight function
 
 
-def _recurrence(kind, m, bk):
-    """Monic recurrence coefficients (a_k, b_k) for k < m, with b_0 = mu0."""
-    one = bk.scalar(1)
-    a, b = [], []
-    if kind == KIND_LEGENDRE:
-        for k in range(m):
-            a.append(bk.scalar(0))
-            if k == 0:
-                b.append(bk.scalar(2))
-            else:
-                kk = bk.scalar(k)
-                b.append(kk * kk / (4 * kk * kk - 1))
-    elif kind == KIND_JACOBI:
-        al = bk.scalar(0)
-        be = -one / 2
-        for k in range(m):
-            if k == 0:
-                a.append((be - al) / (al + be + 2))
-                b.append(2 * bk.sqrt(bk.scalar(2)))
-            else:
-                kk = bk.scalar(k)
-                nab = 2 * kk + al + be
-                a.append((be * be - al * al) / (nab * (nab + 2)))
-                num = 4 * kk * (kk + al) * (kk + be) * (kk + al + be)
-                b.append(num / (nab * nab * (nab + 1) * (nab - 1)))
-    else:
-        raise ValueError(f"unknown rule kind {kind!r}")
+# (2 alpha, 2 beta, mu0^2) of each kind's weight (1-x)^alpha (1+x)^beta
+_WEIGHTS = {KIND_LEGENDRE: (0, 0, 4), KIND_JACOBI: (0, -1, 8)}
+
+
+def _weight(kind):
+    try:
+        return _WEIGHTS[kind]
+    except KeyError:
+        raise ValueError(f"unknown rule kind {kind!r}") from None
+
+
+def _exact_recurrence(kind, m):
+    """Monic recurrence coefficients as integer pairs (num, den): a_k for
+    k < m and b_k for 1 <= k < m.  With n = 2 (2k + alpha + beta),
+
+        a_k = (beta^2 - alpha^2) / (n/2 (n/2 + 2)),
+        b_k = 4 k (k+alpha) (k+beta) (k+alpha+beta) / ((n/2)^2 ((n/2)^2 - 1)),
+
+    and a_0 = (beta - alpha) / (alpha + beta + 2)."""
+    ta, tb, _ = _weight(kind)
+    a = [(tb - ta, ta + tb + 4)]
+    b = []
+    for k in range(1, m):
+        n = 4 * k + ta + tb
+        a.append((tb * tb - ta * ta, n * (n + 4)))
+        b.append((8 * k * (2 * k + ta) * (2 * k + tb) * (2 * k + ta + tb),
+                  n * n * (n + 2) * (n - 2)))
     return a, b
+
+
+def _recurrence(kind, m):
+    """Float64 monic recurrence coefficients (a_k, b_k) for k < m, with
+    b_0 = mu0, each correctly rounded."""
+    a, b = _exact_recurrence(kind, m)
+    return ([p / q for p, q in a],
+            [math.sqrt(_weight(kind)[2])] + [p / q for p, q in b])
 
 
 def _golub_welsch(kind, m):
     """Float64 rule from one LAPACK eigensolve of the Jacobi matrix."""
-    a, b = _recurrence(kind, m, FLOAT64)
+    a, b = _recurrence(kind, m)
     mu0 = b[0]
     off = np.sqrt(b[1:])
     nodes, v = np.linalg.eigh(np.diag(a) + np.diag(off, 1)
@@ -96,11 +108,6 @@ def _golub_welsch(kind, m):
     return GaussRule(kind=kind, m=m, nodes=nodes, weights=weights, mu0=mu0)
 
 
-def _to_fixed(v, frac_bits):
-    """A float or mpf as an integer scaled by 2**frac_bits (truncated)."""
-    return int(mpmath.ldexp(v, frac_bits))
-
-
 def _newton_refine(seed, bk):
     """Rule under the mpmath backend bk from the float64 rule seed.
 
@@ -108,35 +115,42 @@ def _newton_refine(seed, bk):
     not settle within _MAX_NEWTON steps or two of them merge.
     """
     kind, m = seed.kind, seed.m
-    a, b = _recurrence(kind, m, bk)
-    mu0 = b[0]
+    ta, tb, mu0_sq = _weight(kind)
+    a, b = _exact_recurrence(kind, m)
     F = mpmath.mp.prec + _GUARD_BITS
     F2 = 2 * F
-    one = bk.scalar(1)
-    beta = [bk.sqrt(v) for v in b]
-    A = [_to_fixed(v, F) for v in a]
-    B = [0] + [_to_fixed(v, F) for v in beta[1:]]
-    inv_b = [_to_fixed(one / v, F) for v in beta]
-    x = np.array([_to_fixed(float(v), F) for v in seed.nodes], dtype=object)
+    # a_k, beta_k = sqrt(b_k) and 1 / beta_k (beta_0 = sqrt(mu0)), floored
+    # from the exact values to multiples of 2**-F
+    A = [(p << F) // q for p, q in a]
+    B = [0] + [math.isqrt((p << F2) // q) for p, q in b]
+    inv_b = ([math.isqrt(math.isqrt((1 << 2 * F2) // mu0_sq))]
+             + [math.isqrt((q << F2) // p) for p, q in b])
+    # the derivative identity (1 - x^2) p_m' = (c1 - m x) p_m + c3 p_{m-1}
+    # times beta_m: with n = 2 (2m + alpha + beta), c1 = m (alpha - beta) /
+    # (n/2) and c3 beta_m = 4 m (m+alpha) (m+beta) (m+alpha+beta) /
+    # ((n/2)^2 (n/2 - 1)), rational where c3 alone is not
+    n = 4 * m + ta + tb
+    C1 = (m * (ta - tb) << F) // n
+    K = ((4 * m * (2 * m + ta) * (2 * m + tb) * (2 * m + ta + tb)) << F) \
+        // (n * n * (n - 2))
+    x = np.array([int(math.ldexp(v, F)) for v in seed.nodes.tolist()],
+                 dtype=object)
     for _ in range(_MAX_NEWTON):
-        # p_k, p_{k-1} and derivatives, all scaled by 2**F
+        # p_k and p_{k-1}, scaled by 2**F; q = beta_m p_m by 2**(2F)
         p = np.full(m, inv_b[0], dtype=object)
         p_prev = np.zeros(m, dtype=object)
-        dp = np.zeros(m, dtype=object)
-        dp_prev = np.zeros(m, dtype=object)
         for k in range(m):
-            xa = x - A[k]
-            q = xa * p - B[k] * p_prev              # beta_{k+1} p_{k+1}
-            dq = (p << F) + xa * dp - B[k] * dp_prev
+            q = (x - A[k]) * p - B[k] * p_prev
             if k == m - 1:
                 break
             p_prev, p = p, (q * inv_b[k + 1]) >> F2
-            dp_prev, dp = dp, (dq * inv_b[k + 1]) >> F2
-        # sum_{k<m} p_k^2 = beta_m (p_m' p_{m-1} - p_{m-1}' p_m), the
-        # confluent Christoffel-Darboux identity, scaled by 2**F
-        ssq = (dq * p - q * dp) >> F2
-        # p_m / p_m' = q / dq: the unknown beta_m cancels
-        dx = (q << F) // dq
+        # beta_m (1 - x^2) p_m', scaled by 2**(3F), and 1 - x^2 by 2**(2F)
+        dq = (C1 - m * x) * q + ((K * p) << F)
+        omx2 = (1 << F2) - x * x
+        # beta_m p_m' p_{m-1}, the reciprocal weight, scaled by 2**F
+        inv_w = (dq * p) // (omx2 << F)
+        # p_m / p_m': the unknown beta_m cancels
+        dx = (omx2 * q) // dq
         x = x - dx
         if max(abs(v) for v in dx) < 1 << 12:
             break
@@ -147,13 +161,14 @@ def _newton_refine(seed, bk):
     if any(x[i] >= x[i + 1] for i in range(m - 1)):
         raise RuntimeError(
             f"Newton refinement of the {kind} rule merged nodes (m={m})")
-    # ssq was taken at the nodes before the last step, which moved them by
+    # inv_w was taken at the nodes before the last step, which moved them by
     # less than 2**(12 - F)
     nodes = bk.asarray([mpmath.mpf((v, -F)) for v in x])
-    weights = bk.asarray([one / mpmath.mpf((v, -F)) for v in ssq])
+    weights = bk.asarray([1 / mpmath.mpf((v, -F)) for v in inv_w])
     nodes.setflags(write=False)
     weights.setflags(write=False)
-    return GaussRule(kind=kind, m=m, nodes=nodes, weights=weights, mu0=mu0)
+    return GaussRule(kind=kind, m=m, nodes=nodes, weights=weights,
+                     mu0=bk.sqrt(bk.scalar(mu0_sq)))
 
 
 _cache: dict[tuple, GaussRule] = {}

@@ -36,7 +36,7 @@ KERNELS = {
     Region.FORM1_GL: 14,
     Region.SERIES: 0,
     Region.FORM2_UNIFORM: 30,
-    Region.FORM2_JACOBI: 96,
+    Region.FORM2_JACOBI: 80,
     Region.FORM3_GL: 6,
 }
 
@@ -132,8 +132,11 @@ CLASS_KERNELS = {
     (Region.FORM1_GL, 1): ((2.0, 2.0), 22),
     (Region.FORM1_GL, 2): ((1.0, 4.0), 30),
     (Region.FORM1_GL, 3): ((1.0, 6.0), 48),
-    (Region.FORM2_JACOBI, 0): ((20.0, 20.0), 60),
-    (Region.FORM2_JACOBI, 1): ((9.0, 5.0), 96),
+    (Region.FORM2_JACOBI, 0): ((20.0, 27.0), 32),
+    (Region.FORM2_JACOBI, 1): ((20.0, 24.0), 48),
+    (Region.FORM2_JACOBI, 2): ((20.0, 20.0), 64),
+    (Region.FORM2_JACOBI, 3): ((9.0, 5.0), 80),
+    (Region.FORM2_JACOBI, 4): ((12.0, 5.0), 96),
 }
 
 

@@ -13,6 +13,7 @@ from pulse2d.forms import (
     _veltkamp_hi,
     diameter_mean_eval,
     form1_classes,
+    form2_jacobi_classes,
     form2_jacobi_eval,
     small_t_eval,
 )
@@ -201,10 +202,10 @@ def test_diameter_mean_node_law():
 def test_gauss_jacobi_class_law():
     # the top Form2Jacobi class takes M_gj = ceil(0.65 H^2) nodes, each
     # lower class ceil(share * M_gj), and its edge is the span fraction f
-    # at which M_gj (1 + 3 f) / 4 equals them.
-    # A lower class never reaches the small r of the band: there t + r >=
-    # thr_sum needs r >= (thr_sum + H - span) / 2, so the branch point
-    # c = -1 - 4 r / span stays 1.5 or more below the interval
+    # at which M_gj (1 + 3 f) / 4 equals them.  The 2/3 and 5/6 classes
+    # reach the band's smallest r, where the branch point c = -1 - 4 r /
+    # span comes within 0.5 of the interval; the edge test below measures
+    # their error there
     for P in _sweep_params():
         bk = mp_backend(50) if isinstance(P.eps, mpmath.mpf) else FLOAT64
         eps = float(P.eps)
@@ -220,18 +221,23 @@ def test_gauss_jacobi_class_law():
             assert m == math.ceil(q * m_gj), eps
             assert abs(m_gj * (1 + 3 * f) / 4 - m) < 1e-9 * m, eps
             assert prev < f < 1, eps
-            r_min = (float(P.thr_sum + P.H) - float(e)) / 2
-            assert 4 * r_min / float(e) >= 1.5, eps
             prev = f
-    assert forms._ladders(make_params(2e-16), FLOAT64)[2] == [30, 48]
+    assert forms._ladders(make_params(2e-16), FLOAT64)[2] == [16, 24, 32, 40,
+                                                               48]
+    bk = mp_backend(40)
+    assert forms._ladders(make_params(1e-30, bk), bk)[2] == [31, 46, 61, 76,
+                                                            91]
 
 
-@pytest.mark.parametrize("eps,dps", [(2e-16, 30), (1e-30, 40), (1e-40, 50)])
+@pytest.mark.parametrize("eps,dps", [(2e-16, 30), (1e-20, 30), (1e-30, 40),
+                                     (1e-40, 50)])
 def test_node_classes_meet_eps_at_their_edges(eps, dps):
     # quadrature error alone, in mpmath: each lower class at its edge
     # against a rule of twice the nodes.  Form1GL along the whole t range
     # of its edge radius read 3e-4 to 9e-4 eps; Form2Jacobi at its edge
-    # span, from the band's smallest r to 1000, read below 1e-7 eps
+    # span, from the band's smallest r to 1000, read at most 8.1e-5 eps
+    # (2e-16, 40 nodes, r = 1.61), and the lowest class also at the spans
+    # 1e-3 and 1e-2 of the largest crop
     from pulse2d.dispatch import PulseEvaluator
 
     em = PulseEvaluator(eps, backend=mp_backend(dps))
@@ -247,7 +253,10 @@ def test_node_classes_meet_eps_at_their_edges(eps, dps):
             err = max(abs(a - b) for a, b in zip([*p, *u], [*pr, *ur]))
             assert err <= eps / 100, ("Form1GL", k, float(err) / eps)
         ref = forms._jacobi_rule(2 * tb.gj[-1].width, bk, True)
-        for k, e in enumerate(tb.gj_edges):
+        full = P.thr_diff + P.H
+        spans = list(enumerate(tb.gj_edges))
+        spans += [(0, full * f) for f in (bk.scalar(1e-3), bk.scalar(1e-2))]
+        for k, e in spans:
             d = e - P.H
             r = bk.asarray(list(np.geomspace((s - float(d)) / 2 + 1e-9,
                                              1000.0, 24)))
@@ -421,6 +430,36 @@ def test_batch_matches_single(ev64):
         assert one.p == sol.p
         assert one.ur == sol.ur
         assert one.region is sol.region
+
+
+def test_form2_jacobi_batch_matches_one_point_in_every_class(ev64):
+    # region_eval cuts each node class into blocks of _BLOCK_ELEMS // width
+    # rows, so 2 rows + 1 points of a class make two full blocks and a
+    # one-row block.  Every point of one shuffled batch, the first and last
+    # rows of each block among them, must equal its one-point evaluation
+    from pulse2d import dispatch
+
+    P = ev64.params
+    rng = np.random.default_rng(31)
+    n = 40000
+    d = rng.uniform(-float(P.H) - 1.0, float(P.thr_diff), n)
+    r = np.exp(rng.uniform(math.log(0.5), math.log(400.0), n))
+    t = r + d
+    keep = ev64.classify_codes(t, r) == Region.FORM2_JACOBI
+    t, r = t[keep], r[keep]
+    cls, rules = form2_jacobi_classes(ev64, t, r)
+    picks = []
+    for k, rule in enumerate(rules):
+        idx = np.flatnonzero(cls == k)
+        rows = dispatch._BLOCK_ELEMS // rule.width
+        assert idx.size > 2 * rows, k
+        picks.append(idx[:2 * rows + 1])
+    idx = rng.permutation(np.concatenate(picks))
+    p, u, codes = ev64.evaluate_arrays(t[idx], r[idx])
+    assert np.all(codes == Region.FORM2_JACOBI)
+    for i, j in enumerate(idx):
+        sol = ev64.evaluate(t[j], r[j])
+        assert sol.p == p[i] and sol.ur == u[i], (t[j], r[j])
 
 
 def test_batch_matches_single_mp():

@@ -228,9 +228,9 @@ def test_mp_axis_pressure_matches_closed_form():
             assert mp_axis_pressure(-s, dps) == got
 
 
-def test_import_and_float64_evaluation_leave_scipy_special_unloaded():
-    # scipy.special is only imported by the float64 Bessel functions, which
-    # no evaluation path calls
+def _loaded_after_float64_evaluation(modules):
+    """Which of modules a fresh interpreter has loaded after import pulse2d
+    and one float64 evaluation in each region."""
     code = (
         "import sys\n"
         "import pulse2d\n"
@@ -238,13 +238,26 @@ def test_import_and_float64_evaluation_leave_scipy_special_unloaded():
         "       (30.0, 1.0), (9.0, 5.0), (9.2, 0.1)]\n"
         "regions = {pulse2d.evaluate(t, r).region for t, r in pts}\n"
         "assert len(regions) == 7, regions\n"
-        "print('scipy.special' in sys.modules)\n")
+        f"print([m for m in {list(modules)!r} if m in sys.modules])\n")
     src = str(Path(__file__).resolve().parents[1] / "src")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, timeout=120,
                          env={**os.environ, "PYTHONPATH": src})
     assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "False"
+    return out.stdout.strip()
+
+
+def test_import_and_float64_evaluation_leave_scipy_special_unloaded():
+    # scipy.special is only imported by the float64 Bessel functions, which
+    # no evaluation path calls
+    assert _loaded_after_float64_evaluation(["scipy.special"]) == "[]"
+
+
+def test_import_and_float64_evaluation_leave_multiprocessing_unloaded():
+    # only the oracle's lattice check starts worker processes, and it
+    # imports them itself
+    assert _loaded_after_float64_evaluation(
+        ["multiprocessing", "concurrent.futures.process"]) == "[]"
 
 
 def test_only_specfun_and_oracle_name_mp_axis_pressure():
