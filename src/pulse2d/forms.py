@@ -537,47 +537,25 @@ def form2_jacobi_eval(ev, t, r, rule):
     eta = rule.nodes
     he = rule.half
     _tick(2 * eta.size)
-    # each step in place, into four (rows, nodes) buffers: a holds arg, w
-    # the weighted integrand base, v a temporary term, then sqrt(eta - c),
-    # then inv, and g the u_r integrand.  x * y and y * x round alike, so
-    # the results are those of the plain expressions
     if rule.half26 is None:
-        a = ss[..., None] * he
-        a -= d[..., None]
-        w = np.empty_like(a)
-        v = np.empty_like(a)
+        arg = ss[..., None] * he - d[..., None]
     else:
         # node and product roundings each shift arg by ~eps*d/2 right at
         # the integrand peak, where arg is small; s_hi * half26 is exact,
         # so arg rounds only relative to itself, plus ~2**-79 of the span
         s_hi = _veltkamp_hi(ss)
+        s_lo = (ss - s_hi)[..., None]
         h26 = rule.half26
-        a = s_hi[..., None] * h26
-        a -= d[..., None]
-        w = (ss - s_hi)[..., None] * h26
-        v = ss[..., None] * rule.half_lo
-        w += v
-        a += w
-    # base = weights exp(-arg^2 / 2) / sqrt(eta - c)
-    np.multiply(a, a, out=w)
-    w *= -0.5
-    bk.exp(w, out=w)
-    w *= rule.weights
-    np.subtract(eta, c[..., None], out=v)
-    bk.sqrt(v, out=v)
-    w /= v
+        arg = ((s_hi[..., None] * h26 - d[..., None])
+               + (s_lo * h26 + ss[..., None] * rule.half_lo))
+    gauss = bk.exp((arg * arg) * -0.5)
+    base = (rule.weights * gauss) / bk.sqrt(eta - c[..., None])
     # u_r integrand regularized: inv (arg + inv / r) with inv = 1/(1 + xi)
     # replaces the raw product, removing the front-crossing cancellation
-    np.multiply(b[..., None], he, out=v)
-    v += 1
-    np.divide(1, v, out=v)
-    g = v / r[..., None]
-    g += a
-    g *= v
-    a *= w
-    g *= w
-    q0 = np.sum(a, axis=-1)
-    q1 = np.sum(g, axis=-1)
+    inv = 1 / (1 + b[..., None] * he)
+    g1 = inv * (arg + inv / r[..., None])
+    q0 = np.sum(base * arg, axis=-1)
+    q1 = np.sum(base * g1, axis=-1)
     return (tb.inv_sqrt_2pi * np.where(live, q0, 0),
             tb.inv_sqrt_2pi * np.where(live, q1, 0))
 

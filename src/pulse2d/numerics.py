@@ -5,8 +5,7 @@ the double backend maps onto numpy (vectorized, production) and the extended
 backend onto mpmath (element-wise, used for reference runs and for isolating
 algorithmic error from rounding error).  Backends supply transcendental
 primitives, constants and conversions; special functions live in
-``specfun``.  ``exp`` and ``sqrt`` take numpy's ``out=`` array on both
-backends, so a kernel can work in place with one code path.
+``specfun``.
 
 mpmath arithmetic picks up the *global* working precision, so every entry
 point that does extended-precision work must run inside ``backend.workprec()``.
@@ -98,9 +97,9 @@ class MPBackend:
     def _wrap(self, fn):
         elementwise = np.frompyfunc(fn, 1, 1)
 
-        def call(x, out=None):
+        def call(x):
             with self.workprec():
-                return elementwise(x, out=out)
+                return elementwise(x)
 
         return call
 

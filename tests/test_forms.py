@@ -202,10 +202,14 @@ def test_diameter_mean_node_law():
 def test_gauss_jacobi_class_law():
     # the top Form2Jacobi class takes M_gj = ceil(0.65 H^2) nodes, each
     # lower class ceil(share * M_gj), and its edge is the span fraction f
-    # at which M_gj (1 + 3 f) / 4 equals them.  The 2/3 and 5/6 classes
-    # reach the band's smallest r, where the branch point c = -1 - 4 r /
-    # span comes within 0.5 of the interval; the edge test below measures
-    # their error there
+    # at which M_gj (1 + 3 f) / 4 equals them.
+    # A class holds spans up to its edge e, and t + r >= thr_sum needs r >=
+    # (thr_sum + H - span) / 2, so the branch point c = -1 - 4 r / span
+    # stays at least 4 r_min / e below the interval, r_min = (thr_sum + H -
+    # e) / 2.  Over the sweep that margin reads at least 12.7 for the
+    # 1/3 class, 3.49 for 1/2, 1.32 for 2/3 and 0.385 for 5/6 (eps =
+    # 7.6e-18; 0.45 at 2e-16); each class is held a little below its
+    # figure, and the edge test below measures the error there
     for P in _sweep_params():
         bk = mp_backend(50) if isinstance(P.eps, mpmath.mpf) else FLOAT64
         eps = float(P.eps)
@@ -216,11 +220,14 @@ def test_gauss_jacobi_class_law():
         assert len(widths) == len(edges) + 1
         full = float(P.thr_diff + P.H)
         prev = 0.0
-        for m, q, e in zip(widths, forms._GJ_SHARES, edges):
+        for m, q, e, margin in zip(widths, forms._GJ_SHARES, edges,
+                                   (12, 3, 1.2, 0.35)):
             f = float(e) / full
             assert m == math.ceil(q * m_gj), eps
             assert abs(m_gj * (1 + 3 * f) / 4 - m) < 1e-9 * m, eps
             assert prev < f < 1, eps
+            r_min = (float(P.thr_sum + P.H) - float(e)) / 2
+            assert 4 * r_min / float(e) >= margin, (eps, q)
             prev = f
     assert forms._ladders(make_params(2e-16), FLOAT64)[2] == [16, 24, 32, 40,
                                                                48]

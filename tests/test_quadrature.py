@@ -176,6 +176,30 @@ def test_refined_rules_match_golub_welsch(dps, kind, m):
             assert abs(a - b) <= tol_w * abs(b)
 
 
+@pytest.mark.parametrize("kind", [KIND_LEGENDRE, KIND_JACOBI])
+def test_refined_rules_within_one_ulp(kind):
+    # the refinement takes the recurrence coefficients exactly, so only the
+    # last rounding is left: against mpmath.gauss_quadrature at 80 digits
+    # every 40-digit node lies within one ulp (m = 16 to 91 read one node
+    # of 988 beyond half an ulp), the zero of an odd Legendre rule within
+    # one step of the fixed-point grid, and every weight within 1.6e-41
+    # relative
+    bk, ref_bk = mp_backend(40), mp_backend(80)
+    with bk.workprec():
+        prec = mpmath.mp.prec
+    grid = mpmath.ldexp(1, -prec - quadrature._GUARD_BITS)
+    for m in (16, 24, 31, 32, 40, 46, 48, 61, 76, 91):
+        rule = rule_cache_get(kind, m, bk)
+        ref_x, ref_w = _mpmath_rule(kind, m, ref_bk)
+        with ref_bk.workprec():
+            for a, b in zip(rule.nodes, ref_x, strict=True):
+                man, exp = a.man_exp
+                ulp = mpmath.ldexp(1, exp + man.bit_length() - prec)
+                assert abs(a - b) <= max(ulp, grid), (m, a)
+            for a, b in zip(rule.weights, ref_w, strict=True):
+                assert abs(a - b) <= 2e-41 * b, (m, a)
+
+
 def test_float64_tables_match_golub_welsch_build(monkeypatch, table_fields):
     # the double-precision evaluator rounds its hi/lo tables from 40-digit
     # rules: built by refinement or taken from mpmath.gauss_quadrature,
